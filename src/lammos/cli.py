@@ -14,11 +14,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import defaults, exo, sequence
-from .mechlib import MaterialSpec, PlateSpec, plate_bending_safety_factor
+from .mechlib import (
+    MaterialSpec,
+    PlateSpec,
+    csv_number,
+    plate_bending_safety_factor,
+)
 
 EXIT_OK = 0
 EXIT_MODEL_FAILURE = 1
@@ -70,13 +76,10 @@ def _run_dewalop(raw: dict, args, out: Path, emit: set[str]) -> int:
     unit, log, verdict, traces = sequence.run_scenario(scenario)
     name = scenario.name
     if "trace" in emit:
-        blocks = ["actor,t_s,current_A,position_m,state"]
+        rows = ["actor,t_s,current_A,position_m,state"]
         for actor, trace in traces:
-            for s in trace.samples:
-                blocks.append("{},{},{},{},{}".format(
-                    actor, format(s.t, ".9g"), format(s.current, ".9g"),
-                    format(s.position, ".9g"), s.state.value))
-        (out / f"{name}_trace.csv").write_text("\n".join(blocks) + "\n")
+            rows += trace.csv_rows(actor + ",")
+        (out / f"{name}_trace.csv").write_text("\n".join(rows) + "\n")
     if "log" in emit:
         (out / f"{name}_events.csv").write_text(log.to_csv())
     if "report" in emit:
@@ -139,8 +142,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_sf(args) -> int:
-    if any(load <= 0 for load in args.load):
-        print("error: loads must be strictly positive", file=sys.stderr)
+    if any(not (0 < load < math.inf) for load in args.load):
+        print("error: loads must be finite and strictly positive",
+              file=sys.stderr)
         return EXIT_USAGE
     try:
         if args.plate:
@@ -155,7 +159,7 @@ def cmd_sf(args) -> int:
     print("load_N,stress_Pa,safety_factor")
     for load in args.load:
         result = plate_bending_safety_factor(plate, material, load, plate.length)
-        print("{},{},{}".format(format(load, ".9g"),
+        print("{},{},{}".format(csv_number(load),
                                 format(result.bending_stress, ".12g"),
                                 format(result.safety_factor, ".12g")))
     return EXIT_OK

@@ -13,9 +13,7 @@ import math
 
 from .mechlib import (
     BRACKET_80X80,
-    MaterialSpec,
     MotorSpec,
-    PlateSpec,
     ScrewSpec,
     SpringSpec,
     gram_cm_to_newton_m,
@@ -58,14 +56,6 @@ def default_screw() -> ScrewSpec:
 
 def default_spring() -> SpringSpec:
     return SpringSpec()
-
-
-def default_plate() -> PlateSpec:
-    return PlateSpec()
-
-
-def default_material() -> MaterialSpec:
-    return MaterialSpec()
 
 
 def default_latch_fsm() -> LatchFsm:

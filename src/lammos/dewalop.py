@@ -19,6 +19,7 @@ from .mechlib import (
     MaterialSpec,
     PlateSpec,
     check_tslot_holding,
+    csv_number,
     plate_bending_safety_factor,
 )
 
@@ -159,16 +160,8 @@ def lower_leg(leg: WheeledLeg, target_angle: float) -> WheeledLeg:
 
 
 @dataclass(frozen=True)
-class LegContact:
-    leg_id: str
-    extension: float
-    contact_radius: float
-
-
-@dataclass(frozen=True)
 class WallPressResult:
     unit: MaintenanceUnit
-    contacts: tuple[LegContact, ...]
     centered: bool
 
 
@@ -184,7 +177,6 @@ def wall_press(unit: MaintenanceUnit, pipe: PipeEnvironment) -> WallPressResult:
         if leg.flat_latch.state is LatchState.LATCHED:
             raise LegStateError(f"leg {leg.leg_id} extension frozen by flat latch")
     required = pipe.inner_radius - unit.retracted_contact_radius
-    contacts = []
     new_unit = unit
     for leg in unit.legs:
         if not (0.0 <= required <= leg.extend_travel):
@@ -193,13 +185,10 @@ def wall_press(unit: MaintenanceUnit, pipe: PipeEnvironment) -> WallPressResult:
                 f"of leg {leg.leg_id}"
             )
         new_unit = new_unit.with_leg(replace(leg, extension=required))
-        contacts.append(LegContact(leg_id=leg.leg_id, extension=required,
-                                   contact_radius=pipe.inner_radius))
     extensions = [l.extension for l in new_unit.legs]
     centered = max(extensions) - min(extensions) == 0.0
     new_unit = replace(new_unit, centered=centered)
-    return WallPressResult(unit=new_unit, contacts=tuple(contacts),
-                           centered=centered)
+    return WallPressResult(unit=new_unit, centered=centered)
 
 
 @dataclass(frozen=True)
@@ -251,8 +240,8 @@ def unit_state_csv(unit: MaintenanceUnit) -> str:
     lines = ["leg_id,azimuth_deg,hinge_deg,extension_m,angle_latch,flat_latch"]
     for leg in unit.legs:
         lines.append("{},{},{},{},{},{}".format(
-            leg.leg_id, format(leg.azimuth_deg, ".9g"),
-            format(math.degrees(leg.hinge_angle), ".9g"),
-            format(leg.extension, ".9g"),
+            leg.leg_id, csv_number(leg.azimuth_deg),
+            csv_number(math.degrees(leg.hinge_angle)),
+            csv_number(leg.extension),
             leg.angle_latch.state.value, leg.flat_latch.state.value))
     return "\n".join(lines) + "\n"

@@ -24,6 +24,7 @@ from .mechlib import (
     MotorSpec,
     PlateSpec,
     SafetyResult,
+    csv_number,
     plate_bending_safety_factor,
 )
 
@@ -182,10 +183,8 @@ def lock_structural_check(load_torque: float, lever_arm: float,
 
 def comparison_csv(result: EnergyComparison) -> str:
     lines = ["quantity,value_J"]
-    lines.append("held_energy,{}".format(format(result.held_energy, ".9g")))
-    lines.append("locked_energy,{}".format(format(result.locked_energy, ".9g")))
-    lines.append("latch_energy,{}".format(format(result.latch_energy, ".9g")))
-    lines.append("savings,{}".format(format(result.savings, ".9g")))
+    for quantity in ("held_energy", "locked_energy", "latch_energy", "savings"):
+        lines.append(f"{quantity},{csv_number(getattr(result, quantity))}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,9 @@ from .mechlib import (
     MotorSpec,
     ScrewSpec,
     SpringSpec,
-    motor_operating_point,
+    line_point,
+    motor_line,
+    motor_operating_point,  # noqa: F401  (perfbench/tracer.py wraps it here)
     screw_back_drive_torque,
 )
 
@@ -36,14 +38,6 @@ class LatchState(enum.Enum):
     LOOSENING = "Loosening"
     RETRACTING = "Retracting"
 
-
-# States reached while driving clockwise (latching half of the cycle).
-_LATCHING_STATES = frozenset({
-    LatchState.HOUSED, LatchState.ENGAGING_FLEXNUT,
-    LatchState.TRAVERSING, LatchState.TIGHTENING,
-})
-# States reached while driving counterclockwise (unlatching half).
-_UNLATCHING_STATES = frozenset({LatchState.LOOSENING, LatchState.RETRACTING})
 
 # Legal directed edges of the latch cycle (self-loops are always legal).
 LEGAL_EDGES = frozenset({
@@ -119,40 +113,6 @@ class LatchFsm:
         return self.bracket_thickness + self.tslot_gap
 
 
-def _load_torque(fsm: LatchFsm, state: LatchState) -> float:
-    """Resisting torque seen by the motor in a given state."""
-    friction = fsm.flexnut_friction_torque
-    if state in (LatchState.ENGAGING_FLEXNUT, LatchState.TRAVERSING,
-                 LatchState.RETRACTING):
-        return friction
-    if state is LatchState.TIGHTENING:
-        depth = fsm.screw_tip_position - fsm.tslot_engagement_position
-        ramp = min(1.0, max(0.0, depth / fsm.tightening_travel))
-        return friction + (fsm.clamp_torque - friction) * ramp
-    if state is LatchState.LOOSENING:
-        return fsm.breakaway_factor * fsm.clamp_torque
-    return 0.0  # Housed / Latched: no motion commanded in-state
-
-
-def drive_sample(fsm: LatchFsm, cmd: DriveCommand):
-    """Operating point the motor would see this instant, or None if inactive."""
-    if cmd.direction is Direction.OFF:
-        return None
-    if cmd.direction is Direction.CLOCKWISE:
-        if fsm.state not in _LATCHING_STATES:
-            return None
-        state = (LatchState.ENGAGING_FLEXNUT if fsm.state is LatchState.HOUSED
-                 else fsm.state)
-    else:
-        if fsm.state is LatchState.LATCHED:
-            state = LatchState.LOOSENING
-        elif fsm.state in _UNLATCHING_STATES:
-            state = fsm.state
-        else:
-            return None
-    return motor_operating_point(fsm.motor, cmd.voltage, _load_torque(fsm, state))
-
-
 def step(fsm: LatchFsm, cmd: DriveCommand, dt: float):
     """Advance one fixed timestep. Returns (new fsm, event or None).
 
@@ -162,56 +122,125 @@ def step(fsm: LatchFsm, cmd: DriveCommand, dt: float):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if cmd.direction is Direction.OFF:
-        # Screw holds position by flexnut friction; no current drawn.
-        return fsm, None
+    final, _, events = _drive(fsm, ((cmd, 1),), dt, 0.0, sampled=False)
+    return final, events[0][1] if events else None
 
-    if cmd.direction is Direction.CLOCKWISE:
-        if fsm.state is LatchState.LATCHED:
-            return fsm, LatchEvent("already-latched")
-        if fsm.state in _UNLATCHING_STATES:
-            return fsm, None  # reversal mid-unlatch is not part of the cycle
-        if fsm.state is LatchState.HOUSED:
-            return (replace(fsm, state=LatchState.ENGAGING_FLEXNUT),
-                    LatchEvent("engaging"))
-        op = motor_operating_point(fsm.motor, cmd.voltage,
-                                   _load_torque(fsm, fsm.state))
-        if fsm.state is LatchState.TIGHTENING:
-            threshold = (fsm.tightening_current_threshold
-                         * fsm.motor.stall_current(cmd.voltage))
-            if op.current >= threshold:
-                return replace(fsm, state=LatchState.LATCHED), LatchEvent("latched")
-        pos = fsm.screw_tip_position + op.speed * fsm.screw.thread_pitch * dt
-        if fsm.state is LatchState.ENGAGING_FLEXNUT and pos >= 0.0:
-            return (replace(fsm, state=LatchState.TRAVERSING,
-                            screw_tip_position=0.0),
-                    LatchEvent("crossed-bracket-plane"))
-        if (fsm.state is LatchState.TRAVERSING
-                and pos >= fsm.tslot_engagement_position):
-            return (replace(fsm, state=LatchState.TIGHTENING,
-                            screw_tip_position=fsm.tslot_engagement_position),
-                    LatchEvent("reached-tslot"))
-        return replace(fsm, screw_tip_position=pos), None
 
-    # Counterclockwise drive.
-    if fsm.state is LatchState.LATCHED:
-        return replace(fsm, state=LatchState.LOOSENING), LatchEvent("breakaway")
-    if fsm.state not in _UNLATCHING_STATES:
-        return fsm, None  # housed or mid-latching: hold position
-    op = motor_operating_point(fsm.motor, cmd.voltage,
-                               _load_torque(fsm, fsm.state))
-    pos = fsm.screw_tip_position - op.speed * fsm.screw.thread_pitch * dt
-    if (fsm.state is LatchState.LOOSENING
-            and pos <= fsm.tslot_engagement_position):
-        return (replace(fsm, state=LatchState.RETRACTING,
-                        screw_tip_position=fsm.tslot_engagement_position),
-                LatchEvent("screw-clear-of-tslot"))
-    if fsm.state is LatchState.RETRACTING and pos <= fsm.housed_rest_position:
-        # Spring re-seats the motor against the bracket base.
-        return (replace(fsm, state=LatchState.HOUSED,
-                        screw_tip_position=fsm.housed_rest_position),
-                LatchEvent("housed"))
-    return replace(fsm, screw_tip_position=pos), None
+def _drive(fsm: LatchFsm, segments, dt: float, t: float,
+           stop_state: Optional[LatchState] = None, sampled: bool = True):
+    """The fixed-step kernel behind every drive entry point.
+
+    Replays (command, step count) segments, stopping on entry to
+    ``stop_state``; a count of None is a non-positive schedule duration,
+    rejected when reached. Each step samples the current drawn in the
+    pre-step state, then fires at most one transition. A segment resolves
+    the motor line on its first step that draws current, so an out-of-range
+    voltage raises only there; unless ``sampled``, the entry transitions
+    (Housed->Engaging, Latched->Loosening) draw none. Returns
+    (final fsm, trace, timed events).
+    """
+    motor = fsm.motor
+    pitch = fsm.screw.thread_pitch
+    friction = fsm.flexnut_friction_torque
+    clamp = fsm.clamp_torque
+    travel = fsm.tightening_travel
+    tslot = fsm.tslot_engagement_position
+    breakaway = fsm.breakaway_factor * clamp
+    # States the tip moves through at a constant load: the direction that
+    # moves it (clockwise?), the load, and the boundary where the tip is
+    # clamped as the exit transition fires.
+    moves = {
+        LatchState.ENGAGING_FLEXNUT: (True, friction, 0.0, LatchState.TRAVERSING,
+                                      "crossed-bracket-plane"),
+        LatchState.TRAVERSING: (True, friction, tslot, LatchState.TIGHTENING,
+                                "reached-tslot"),
+        LatchState.LOOSENING: (False, breakaway, tslot, LatchState.RETRACTING,
+                               "screw-clear-of-tslot"),
+        # The spring re-seats the motor against the bracket base.
+        LatchState.RETRACTING: (False, friction, fsm.housed_rest_position,
+                                LatchState.HOUSED, "housed"),
+    }
+    state, pos = fsm.state, fsm.screw_tip_position
+    times, currents, positions, states = [], [], [], []
+    events: list[tuple[float, LatchEvent]] = []
+    line = voltage = None
+
+    def point(load):  # checks as motor_operating_point: load, then voltage
+        nonlocal line
+        if load < 0:
+            raise ValueError("load torque must be non-negative")
+        if line is None:
+            line = motor_line(motor, voltage)
+        return line_point(motor, line, load)
+
+    for cmd, n in segments:
+        if n is None:
+            raise ValueError(f"non-positive segment duration at t={t}")
+        direction, voltage, line = cmd.direction, cmd.voltage, None
+        clockwise = direction is Direction.CLOCKWISE
+        # The constant-load state being driven, with its current, advance
+        # per step, boundary and exit; resolved once per entry.
+        moving = None
+        for _ in range(n):
+            if state is stop_state:
+                break
+            event = None
+            if state is not moving:
+                sample = 0.0
+                if direction is Direction.OFF:
+                    pass  # the screw holds by flexnut friction
+                elif state is LatchState.TIGHTENING:
+                    if clockwise:
+                        depth = pos - tslot
+                        ramp = min(1.0, max(0.0, depth / travel))
+                        speed, sample = point(
+                            friction + (clamp - friction) * ramp)
+                        threshold = fsm.tightening_current_threshold * line[2]
+                        if sample >= threshold:
+                            if pos < tslot:
+                                raise ValueError("Latched requires the tip "
+                                                 "at the T-slot nut")
+                            state, event = LatchState.LATCHED, "latched"
+                        else:
+                            pos = pos + speed * pitch * dt
+                elif state is LatchState.LATCHED:
+                    if clockwise:
+                        event = "already-latched"
+                    else:
+                        if sampled:
+                            _, sample = point(breakaway)
+                        state, event = LatchState.LOOSENING, "breakaway"
+                elif state is LatchState.HOUSED:
+                    if clockwise:
+                        if sampled:
+                            _, sample = point(friction)
+                        state, event = LatchState.ENGAGING_FLEXNUT, "engaging"
+                elif moves[state][0] is clockwise:
+                    _, load, limit, exit_state, exit_event = moves[state]
+                    speed, current = point(load)
+                    moving, advance = state, speed * pitch * dt
+            if state is moving and event is None:
+                sample = current
+                if clockwise:
+                    pos = pos + advance
+                    if pos >= limit:
+                        state, pos, event = exit_state, limit, exit_event
+                else:
+                    pos = pos - advance
+                    if pos <= limit:
+                        state, pos, event = exit_state, limit, exit_event
+            t += dt
+            times.append(t)
+            currents.append(sample)
+            positions.append(pos)
+            states.append(state)
+            if event is not None:
+                events.append((t, LatchEvent(event)))
+
+    if state is not fsm.state or pos is not fsm.screw_tip_position:
+        fsm = replace(fsm, state=state, screw_tip_position=pos)
+    samples = tuple(map(TraceSample, times, currents, positions, states))
+    return fsm, CurrentTrace(samples=samples), events
 
 
 @dataclass(frozen=True)
@@ -226,13 +255,16 @@ class TraceSample:
 class CurrentTrace:
     samples: tuple[TraceSample, ...]
 
+    def csv_rows(self, prefix: str = "") -> list[str]:
+        """One ``t_s,current_A,position_m,state`` row per sample, after
+        ``prefix``; numbers as ``csv_number`` writes them."""
+        return ["%s%.9g,%.9g,%.9g,%s" % (prefix, s.t, s.current, s.position,
+                                         s.state.value)
+                for s in self.samples]
+
     def to_csv(self) -> str:
-        lines = ["t_s,current_A,position_m,state"]
-        for s in self.samples:
-            lines.append("{},{},{},{}".format(
-                format(s.t, ".9g"), format(s.current, ".9g"),
-                format(s.position, ".9g"), s.state.value))
-        return "\n".join(lines) + "\n"
+        return "\n".join(["t_s,current_A,position_m,state",
+                          *self.csv_rows()]) + "\n"
 
     @property
     def duration(self) -> float:
@@ -248,23 +280,9 @@ def run_schedule(fsm: LatchFsm, schedule: Iterable[tuple[DriveCommand, float]],
     """Replay a command schedule. Returns (final fsm, trace, timed events)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    samples: list[TraceSample] = []
-    events: list[tuple[float, LatchEvent]] = []
-    t = t0
-    for cmd, duration in schedule:
-        if duration <= 0:
-            raise ValueError(f"non-positive segment duration at t={t}")
-        for _ in range(int(round(duration / dt))):
-            op = drive_sample(fsm, cmd)
-            current = op.current if op is not None else 0.0
-            fsm, event = step(fsm, cmd, dt)
-            t += dt
-            samples.append(TraceSample(t=t, current=current,
-                                       position=fsm.screw_tip_position,
-                                       state=fsm.state))
-            if event is not None:
-                events.append((t, event))
-    return fsm, CurrentTrace(samples=tuple(samples)), events
+    segments = ((cmd, None if duration <= 0 else int(round(duration / dt)))
+                for cmd, duration in schedule)
+    return _drive(fsm, segments, dt, t0)
 
 
 def simulate_trace(fsm: LatchFsm, schedule, dt: float) -> CurrentTrace:
@@ -277,22 +295,8 @@ def run_until(fsm: LatchFsm, cmd: DriveCommand, dt: float,
               stop_state: LatchState, max_duration: float = 120.0,
               t0: float = 0.0):
     """Drive with one command until a state is reached (or time out)."""
-    samples: list[TraceSample] = []
-    events: list[tuple[float, LatchEvent]] = []
-    t = t0
-    steps_left = int(round(max_duration / dt))
-    while fsm.state is not stop_state and steps_left > 0:
-        op = drive_sample(fsm, cmd)
-        current = op.current if op is not None else 0.0
-        fsm, event = step(fsm, cmd, dt)
-        t += dt
-        steps_left -= 1
-        samples.append(TraceSample(t=t, current=current,
-                                   position=fsm.screw_tip_position,
-                                   state=fsm.state))
-        if event is not None:
-            events.append((t, event))
-    return fsm, CurrentTrace(samples=tuple(samples)), events
+    return _drive(fsm, ((cmd, int(round(max_duration / dt))),), dt, t0,
+                  stop_state)
 
 
 def holds_housed_without_power(fsm: LatchFsm) -> bool:
@@ -307,7 +311,7 @@ def static_power(fsm: LatchFsm, cmd: Optional[DriveCommand] = None) -> float:
     """Electrical power drawn; exactly zero whenever no drive is active."""
     if cmd is None or cmd.direction is Direction.OFF:
         return 0.0
-    op = drive_sample(fsm, cmd)
-    if op is None:
-        return 0.0
-    return cmd.voltage * op.current
+    # The first step's sample is the current drawn now; dt does not affect it.
+    _, trace, _ = _drive(fsm, ((cmd, 1),), 1.0, 0.0)
+    current = trace.samples[0].current
+    return cmd.voltage * current if current else 0.0

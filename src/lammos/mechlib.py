@@ -23,6 +23,11 @@ class SpringOverloadError(ValueError):
     """Requested deflection would exceed the spring's rated maximum load."""
 
 
+def csv_number(x: float) -> str:
+    """The number format of every CSV artifact: nine significant digits."""
+    return "%.9g" % x
+
+
 def gram_cm_to_newton_m(torque_gcm: float) -> float:
     """Convert a g*cm torque rating to N*m."""
     return torque_gcm * 1e-5 * STANDARD_GRAVITY
@@ -86,10 +91,6 @@ class MotorSpec:
     def stall_current(self, voltage: float) -> float:
         return _interp(self.stall_current_points, voltage)
 
-    @property
-    def voltage_range(self) -> tuple[float, float]:
-        return self.stall_torque_points[0][0], self.stall_torque_points[-1][0]
-
 
 @dataclass(frozen=True)
 class OperatingPoint:
@@ -98,19 +99,34 @@ class OperatingPoint:
     stalled: bool
 
 
+def motor_line(motor: MotorSpec,
+               supply_voltage: float) -> tuple[float, float, float]:
+    """Stall torque, free speed and stall current at one supply voltage."""
+    return (motor.stall_torque(supply_voltage),
+            motor.free_speed(supply_voltage),
+            motor.stall_current(supply_voltage))
+
+
+def line_point(motor: MotorSpec, line: tuple[float, float, float],
+               load_torque: float) -> tuple[float, float]:
+    """Speed and current at a load on a line resolved by ``motor_line``."""
+    stall, free, i_stall = line
+    frac = load_torque / stall
+    speed = max(0.0, free * (1.0 - frac))
+    current = min(i_stall,
+                  motor.no_load_current + (i_stall - motor.no_load_current) * frac)
+    return speed, current
+
+
 def motor_operating_point(motor: MotorSpec, supply_voltage: float,
                           load_torque: float) -> OperatingPoint:
     """Quasi-static operating point on the linear torque-speed line."""
     if load_torque < 0:
         raise ValueError("load torque must be non-negative")
-    stall = motor.stall_torque(supply_voltage)
-    free = motor.free_speed(supply_voltage)
-    i_stall = motor.stall_current(supply_voltage)
-    frac = load_torque / stall
-    speed = max(0.0, free * (1.0 - frac))
-    current = min(i_stall,
-                  motor.no_load_current + (i_stall - motor.no_load_current) * frac)
-    return OperatingPoint(speed=speed, current=current, stalled=load_torque >= stall)
+    line = motor_line(motor, supply_voltage)
+    speed, current = line_point(motor, line, load_torque)
+    return OperatingPoint(speed=speed, current=current,
+                          stalled=load_torque >= line[0])
 
 
 @dataclass(frozen=True)
@@ -121,7 +137,6 @@ class ScrewSpec:
     thread_pitch: float = 0.00125       # m/rev (M8 coarse)
     length: float = 0.018               # m
     thread_friction_coefficient: float = 0.2
-    head_type: str = "hex"
 
     def __post_init__(self):
         if self.thread_pitch <= 0:
@@ -222,14 +237,6 @@ class BracketSpec:
 BRACKET_40X40 = BracketSpec("40x40", max_force=1000.0, max_moment=50.0)
 BRACKET_80X80 = BracketSpec("80x80", max_force=2000.0, max_moment=150.0)
 BRACKET_160X80 = BracketSpec("160x80", max_force=2000.0, max_moment=150.0)
-# No published envelope for the flat bracket; it shares the 80x80 rating
-# (payload claim up to 2000 N) while its plate is checked by bending SF.
-BRACKET_FLAT = BracketSpec("flat", max_force=2000.0, max_moment=150.0)
-
-CATALOG_BRACKETS = {
-    b.designation: b
-    for b in (BRACKET_40X40, BRACKET_80X80, BRACKET_160X80, BRACKET_FLAT)
-}
 
 
 @dataclass(frozen=True)
@@ -315,5 +322,6 @@ def plate_bending_safety_factor(plate: PlateSpec, material: MaterialSpec,
     if lever_arm <= 0:
         raise ValueError("lever arm must be strictly positive")
     stress = load * lever_arm / plate.section_modulus
-    return SafetyResult(bending_stress=stress,
-                        safety_factor=material.yield_strength / stress)
+    # A positive load whose stress underflows to zero is safe without bound.
+    safety = math.inf if stress == 0.0 else material.yield_strength / stress
+    return SafetyResult(bending_stress=stress, safety_factor=safety)

@@ -34,6 +34,7 @@ from .latch import (
     LatchState,
     run_until,
 )
+from .mechlib import csv_number
 
 ACTIONS = (
     "lower_legs", "move_into_pipe", "raise_legs", "latch_angle",
@@ -92,7 +93,7 @@ class EventLog:
         lines = ["t_s,actor,event,hash"]
         for e in self.entries:
             lines.append("{},{},{},{}".format(
-                format(e.t, ".9g"), e.actor, e.event, e.snapshot_hash))
+                csv_number(e.t), e.actor, e.event, e.snapshot_hash))
         return "\n".join(lines) + "\n"
 
 

@@ -102,6 +102,16 @@ class TestSf:
     def test_zero_load_exits_two(self, capsys):
         assert run_cli("sf", "--load", "0") == 2
 
+    @pytest.mark.parametrize("load", ["nan", "inf", "-inf"])
+    def test_non_finite_load_exits_two(self, load, capsys):
+        assert run_cli("sf", "--load", "1000", load) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_subnormal_load_is_unboundedly_safe(self, capsys):
+        assert run_cli("sf", "--load", "5e-324") == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.split(",")[1:] == ["0", "inf"]
+
     def test_custom_plate_and_yield(self, capsys):
         code = run_cli("sf", "--load", "1000", "--plate", "0.116,0.040,0.009",
                        "--yield", "250e6")

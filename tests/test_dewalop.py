@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lammos import defaults
 from lammos.dewalop import (
@@ -183,6 +183,7 @@ class TestLoadPath:
 
     @given(force=st.floats(min_value=0.0, max_value=6000.0),
            latched=st.booleans())
+    @example(force=5e-324, latched=True)
     @settings(max_examples=100, deadline=None)
     def test_shares_conserve_force(self, force, latched):
         leg = raised_unit().legs[0]

@@ -1,0 +1,167 @@
+"""Byte-identity of every emitted artifact against recorded digests.
+
+The digests were recorded on the per-step latch engine, before the drive
+loop was fused into one kernel. Any change to a verdict, an event log, a
+trace digit, a report line or a comparison value shows up here.
+
+``python tests/test_golden.py`` prints the digests of the current code.
+"""
+
+import hashlib
+import io
+import runpy
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from lammos.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+
+CASES = {
+    "broken_ordering": ("broken_ordering.json",),
+    "canonical_800mm": ("canonical_800mm.json",),
+    "canonical_800mm_dt0.0005": ("canonical_800mm.json", "--dt", "0.0005"),
+    "exo_hold_600s": ("exo_hold_600s.json",),
+    "pipe_out_of_range": ("pipe_out_of_range.json",),
+}
+
+GOLDEN = {
+    "broken_ordering": {
+        "exit": 1,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr":
+            "9c6fe02132b48f1aa9edf1f7896a4fdb375b47684f0e0fe162a304f0602f87c3",
+        "broken-ordering_events.csv":
+            "737dd3e89f35c48baa93dddf8bbc33c3b554559b8e65a83f72e212b43e1ef4eb",
+        "broken-ordering_report.txt":
+            "15b8be2ee33bb1ffaef9b0e18c29b710b32dcf3632aed50665cc0443c033da80",
+        "broken-ordering_trace.csv":
+            "b20ba434987224e3199b69fac9e251c862c1be7aa4e6434ef362839c748d93a6",
+    },
+    "canonical_800mm": {
+        "exit": 0,
+        "stdout":
+            "fae15e575172d99fc0c525a12b94ae08531433fbfcb173301eedf131682e811d",
+        "stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "canonical-insertion_events.csv":
+            "e447a08b255008766a1c784c4bd0cb518aca0c179a3c2d9bbae1914b00465364",
+        "canonical-insertion_report.txt":
+            "129c9fd4bb2960018c5aa06a9cb0939dc6d90cc26f5dc0401e6b840c3213e8d6",
+        "canonical-insertion_trace.csv":
+            "4135f86776c9c0e7bfaecc563086f2288b7fd09c56bbd27260c4c64d3f922067",
+    },
+    "canonical_800mm_dt0.0005": {
+        "exit": 0,
+        "stdout":
+            "fae15e575172d99fc0c525a12b94ae08531433fbfcb173301eedf131682e811d",
+        "stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "canonical-insertion_events.csv":
+            "e9dc762a0c362e9bc2a80f51fda87da217f870d98c8f1a81fc3f6331b27bbff1",
+        "canonical-insertion_report.txt":
+            "129c9fd4bb2960018c5aa06a9cb0939dc6d90cc26f5dc0401e6b840c3213e8d6",
+        "canonical-insertion_trace.csv":
+            "b163fc61b81e37057217c7b3a3a8313c1b7e46ba0625a89d7ab2dcf032716ddb",
+    },
+    "exo_hold_600s": {
+        "exit": 0,
+        "stdout":
+            "7a371208da955f2b4db7fa496ad1ba4de50735f1e0e036f66fdaab98e1bd68e0",
+        "stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "exo-hold-600s_comparison.csv":
+            "55b185977f269422face724deafb8c3be8519df98d9c896ea1e579eb76461aa2",
+        "exo-hold-600s_report.txt":
+            "184f9c31fb55c1ae18e4b229181bb87f3847846164e6766cd63a55c57ce72243",
+    },
+    "pipe_out_of_range": {
+        "exit": 2,
+        "stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr":
+            "952f90aa98e81d03a248b5e94360f73d17e5857489dc960033f49757f91115d2",
+    },
+    "latch_cycle_trace": {
+        "exit": 0,
+        "stdout":
+            "930f0336bfe303343f58799f1543fb0970fc932b16925f39c527fbaa6f407c81",
+        "stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "latch_cycle_trace.csv":
+            "95834b791aad1bf1b369211aef74c82c75e0df14cc0bfaaacbb796908f9258a9",
+    },
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _outputs(out: Path, run) -> dict:
+    """Exit code, stdout, stderr and every file written under ``out``.
+
+    The output directory is masked in the streams, so digests do not depend
+    on where the run wrote.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = run()
+    digests = {"exit": code}
+    for stream, text in (("stdout", stdout), ("stderr", stderr)):
+        digests[stream] = _sha(text.getvalue().replace(str(out), "<out>")
+                               .encode())
+    for path in sorted(out.iterdir()):
+        digests[path.name] = _sha(path.read_bytes())
+    return digests
+
+
+def scenario_digests(case: str, out: Path) -> dict:
+    config, *extra = CASES[case]
+    return _outputs(out, lambda: main(["run", "--config",
+                                       str(SCENARIOS / config),
+                                       "--out", str(out), *extra]))
+
+
+def latch_cycle_digests(out: Path) -> dict:
+    script = ROOT / "scripts" / "latch_cycle_trace.py"
+
+    def run():
+        argv = sys.argv
+        sys.argv = [str(script), str(out / "latch_cycle_trace.csv")]
+        try:
+            runpy.run_path(str(script), run_name="__main__")
+        finally:
+            sys.argv = argv
+        return 0
+    return _outputs(out, run)
+
+
+def all_digests() -> dict:
+    digests = {}
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests[case] = scenario_digests(case, Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        digests["latch_cycle_trace"] = latch_cycle_digests(Path(tmp))
+    return digests
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_scenario_artifacts_match_golden(case, tmp_path):
+    assert scenario_digests(case, tmp_path) == GOLDEN[case]
+
+
+def test_latch_cycle_trace_matches_golden(tmp_path):
+    assert latch_cycle_digests(tmp_path) == GOLDEN["latch_cycle_trace"]
+
+
+if __name__ == "__main__":
+    import pprint
+    pprint.pprint(all_digests(), sort_dicts=False, width=100)

@@ -21,6 +21,8 @@ from lammos.mechlib import (
     check_bracket_load,
     check_tslot_holding,
     gram_cm_to_newton_m,
+    line_point,
+    motor_line,
     motor_operating_point,
     plate_bending_safety_factor,
     screw_axial_force,
@@ -71,6 +73,16 @@ class TestMotor:
         for a, b in zip(pts, pts[1:]):
             assert b.speed <= a.speed
             assert b.current >= a.current
+
+    @given(voltage=st.floats(min_value=3.0, max_value=6.0),
+           load=st.floats(min_value=0.0, max_value=2 * STALL_6V))
+    def test_resolved_line_gives_the_same_point(self, voltage, load):
+        motor = defaults.default_motor()
+        op = motor_operating_point(motor, voltage, load)
+        line = motor_line(motor, voltage)
+        assert line_point(motor, line, load) == (op.speed, op.current)
+        assert line == (motor.stall_torque(voltage), motor.free_speed(voltage),
+                        motor.stall_current(voltage))
 
     def test_current_clamped_at_stall(self, motor):
         op = motor_operating_point(motor, 3.0, 2 * STALL_3V)
@@ -254,6 +266,13 @@ class TestPlateBending:
     def test_zero_load_rejected(self):
         with pytest.raises(ValueError):
             plate_bending_safety_factor(PlateSpec(), MaterialSpec(), 0.0, 0.1)
+
+    def test_underflowing_stress_is_unboundedly_safe(self):
+        result = plate_bending_safety_factor(PlateSpec(), MaterialSpec(),
+                                             5e-324, 0.116)
+        assert result.bending_stress == 0.0
+        assert result.safety_factor == math.inf
+        assert not result.failed
 
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError):
