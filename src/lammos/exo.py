@@ -183,8 +183,8 @@ def lock_structural_check(load_torque: float, lever_arm: float,
 
 def comparison_csv(result: EnergyComparison) -> str:
     lines = ["quantity,value_J"]
-    for quantity in ("held_energy", "locked_energy", "latch_energy", "savings"):
-        lines.append(f"{quantity},{csv_number(getattr(result, quantity))}")
+    for name in ("held_energy", "locked_energy", "latch_energy", "savings"):
+        lines.append(f"{name},{csv_number(getattr(result, name))}")
     return "\n".join(lines) + "\n"
 
 

@@ -150,7 +150,8 @@ def _drive(fsm: LatchFsm, segments, dt: float, t: float,
     # moves it (clockwise?), the load, and the boundary where the tip is
     # clamped as the exit transition fires.
     moves = {
-        LatchState.ENGAGING_FLEXNUT: (True, friction, 0.0, LatchState.TRAVERSING,
+        LatchState.ENGAGING_FLEXNUT: (True, friction, 0.0,
+                                      LatchState.TRAVERSING,
                                       "crossed-bracket-plane"),
         LatchState.TRAVERSING: (True, friction, tslot, LatchState.TIGHTENING,
                                 "reached-tslot"),
@@ -197,6 +198,8 @@ def _drive(fsm: LatchFsm, segments, dt: float, t: float,
                             friction + (clamp - friction) * ramp)
                         threshold = fsm.tightening_current_threshold * line[2]
                         if sample >= threshold:
+                            # LatchFsm's invariant, checked where a per-step
+                            # snapshot would have checked it.
                             if pos < tslot:
                                 raise ValueError("Latched requires the tip "
                                                  "at the T-slot nut")

@@ -33,7 +33,7 @@ _LATCHING_STATES = frozenset({
 _UNLATCHING_STATES = frozenset({LatchState.LOOSENING, LatchState.RETRACTING})
 
 
-# -- reference engine -----------------------------------------------------------
+# -- reference engine ---------------------------------------------------------
 
 def ref_operating_point(motor, supply_voltage, load_torque):
     if load_torque < 0:
@@ -167,7 +167,7 @@ def ref_run_schedule(fsm, schedule, dt, t0=0.0):
     return fsm, CurrentTrace(samples=tuple(samples)), events
 
 
-# -- comparison -----------------------------------------------------------------
+# -- comparison ---------------------------------------------------------------
 
 def _bits(x: float) -> str:
     return x.hex() if isinstance(x, float) else repr(x)
@@ -187,7 +187,7 @@ def outcome(run):
             [(_bits(t), type(e), e.name) for t, e in events])
 
 
-# -- strategies -----------------------------------------------------------------
+# -- strategies ---------------------------------------------------------------
 
 FSM = defaults.default_latch_fsm()
 TSLOT = FSM.tslot_engagement_position
