@@ -34,7 +34,7 @@ EXIT_USAGE = 2
 def _load_document(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read scenario file: {exc}")
     try:
         return json.loads(text)
@@ -57,22 +57,17 @@ def _emit_set(value: str) -> set[str]:
 def cmd_run(args) -> int:
     raw = _load_document(args.config)
     emit = _emit_set(args.emit)
+    config, diags, usage = sequence.parse(raw, dt=args.dt)
+    if usage or diags:
+        raise _UsageError("; ".join(usage + diags))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if raw.get("type", "dewalop") == "exo":
-        return _run_exo(raw, args, out, emit)
-    return _run_dewalop(raw, args, out, emit)
+    if isinstance(config, sequence.ExoScenario):
+        return _run_exo(config, out, emit)
+    return _run_dewalop(config, out, emit)
 
 
-def _run_dewalop(raw: dict, args, out: Path, emit: set[str]) -> int:
-    try:
-        scenario = sequence.build_scenario(raw)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.dt is not None:
-        from dataclasses import replace
-        scenario = replace(scenario, dt=args.dt)
+def _run_dewalop(scenario, out: Path, emit: set[str]) -> int:
     unit, log, verdict, traces = sequence.run_scenario(scenario)
     name = scenario.name
     if "trace" in emit:
@@ -84,7 +79,7 @@ def _run_dewalop(raw: dict, args, out: Path, emit: set[str]) -> int:
         (out / f"{name}_events.csv").write_text(log.to_csv())
     if "report" in emit:
         (out / f"{name}_report.txt").write_text(
-            _dewalop_report(name, args.seed, unit, verdict))
+            _dewalop_report(name, unit, verdict))
     if not verdict.passed:
         print(f"scenario failed at step {verdict.failed_step} "
               f"({verdict.failed_action}): {verdict.reason}"
@@ -96,9 +91,9 @@ def _run_dewalop(raw: dict, args, out: Path, emit: set[str]) -> int:
     return EXIT_OK
 
 
-def _dewalop_report(name, seed, unit, verdict) -> str:
+def _dewalop_report(name, unit, verdict) -> str:
     from .dewalop import unit_state_csv
-    lines = [f"Scenario report: {name}", f"seed: {seed}", ""]
+    lines = [f"Scenario report: {name}", ""]
     if verdict.passed:
         lines.append("verdict: PASS")
     else:
@@ -111,31 +106,27 @@ def _dewalop_report(name, seed, unit, verdict) -> str:
     return "\n".join(lines)
 
 
-def _run_exo(raw: dict, args, out: Path, emit: set[str]) -> int:
+def _run_exo(study, out: Path, emit: set[str]) -> int:
     try:
-        joint, timeline, lock_at = exo.build_joint(raw)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    dt = args.dt if args.dt is not None else raw.get("dt_s", defaults.DEFAULT_DT)
-    try:
-        result = exo.energy_comparison(joint, timeline, lock_at, dt=dt)
-    except exo.UnholdableLoadError as exc:
+        result = exo.energy_comparison(study.joint, study.timeline,
+                                       study.lock_at, dt=study.dt)
+    except RuntimeError as exc:  # an unholdable load or a lock that never latches
         print(f"model failure: {exc}", file=sys.stderr)
         return EXIT_MODEL_FAILURE
-    name = raw["name"]
+    name = study.name
     if "trace" in emit or "log" in emit:
         (out / f"{name}_comparison.csv").write_text(exo.comparison_csv(result))
     if "report" in emit:
-        (out / f"{name}_report.txt").write_text(
-            exo.comparison_report(name, joint, timeline, lock_at, result))
+        (out / f"{name}_report.txt").write_text(exo.comparison_report(
+            name, study.joint, study.timeline, study.lock_at, result))
     print(f"scenario {name} complete: savings {result.savings:.6g} J")
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    raw = _load_document(args.scenario)
-    diags = sequence.validate(raw)
+    _, diags, usage = sequence.parse(_load_document(args.scenario))
+    if usage:
+        raise _UsageError("; ".join(usage))
     for diag in diags:
         print(diag)
     return EXIT_OK if not diags else EXIT_MODEL_FAILURE
@@ -181,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--dt", type=float, default=None,
                        help="override simulation timestep in seconds")
-    p_run.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized property scenarios")
     p_run.add_argument("--emit", default="trace,log,report",
                        help="comma-separated artifacts: trace,log,report")
     p_run.set_defaults(func=cmd_run)
@@ -213,7 +202,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

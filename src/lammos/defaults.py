@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 
 from .mechlib import (
-    BRACKET_80X80,
-    MotorSpec,
-    ScrewSpec,
-    SpringSpec,
+    BRACKET_40X40, BRACKET_80X80, BRACKET_160X80, TSLOT_MAX_FORCE_N,
+    MaterialSpec, MotorSpec, PlateSpec, ScrewSpec, SpringSpec,
     gram_cm_to_newton_m,
 )
 from .latch import LatchFsm
@@ -82,10 +80,15 @@ EXO_STANDBY_POWER = 0.1  # W, locked-joint electronics idle (assumed)
 
 
 def defaults_as_dict() -> dict:
-    """All defaults with unit-suffixed keys, catalog values flagged."""
+    """All defaults with unit-suffixed keys, catalog values flagged.
+
+    Every value is read from the constant or dataclass default it documents.
+    """
+    latch, plate = default_latch_fsm(), PlateSpec()
+    screw, spring = latch.screw, latch.spring
     return {
         "motor": {
-            "gear_ratio": 298.0,
+            "gear_ratio": latch.motor.gear_ratio,
             "stall_torque_gcm_3V": STALL_TORQUE_GCM_3V,
             "stall_torque_gcm_6V": STALL_TORQUE_GCM_6V,
             "free_speed_revs_3V (assumed)": FREE_SPEED_REVS_3V,
@@ -95,39 +98,42 @@ def defaults_as_dict() -> dict:
             "no_load_current_A (assumed)": NO_LOAD_CURRENT_A,
         },
         "screw": {
-            "nominal_diameter_m": 0.008,
-            "thread_pitch_m (assumed: M8 coarse)": 0.00125,
-            "length_m": 0.018,
-            "thread_friction_coefficient (assumed)": 0.2,
+            "nominal_diameter_m": screw.nominal_diameter,
+            "thread_pitch_m (assumed: M8 coarse)": screw.thread_pitch,
+            "length_m": screw.length,
+            "thread_friction_coefficient (assumed)":
+                screw.thread_friction_coefficient,
         },
         "spring": {
-            "free_length_m": 0.019,
-            "outer_width_m": 0.008,
-            "wire_diameter_m": 0.0005,
-            "active_coils": 28,
-            "shear_modulus_Pa (assumed: stainless)": 79.3e9,
-            "max_load_N": 4.506,
-            "mass_kg": 0.000406,
+            "free_length_m": spring.free_length,
+            "outer_width_m": spring.outer_width,
+            "wire_diameter_m": spring.wire_diameter,
+            "active_coils": spring.active_coils,
+            "shear_modulus_Pa (assumed: stainless)": spring.shear_modulus,
+            "max_load_N": spring.max_load,
+            "mass_kg": spring.mass,
         },
         "latch": {
-            "flexnut_friction_torque_Nm (assumed)": 0.02,
-            "bracket_thickness_m": 0.009,
-            "tslot_gap_m (assumed)": 0.003,
-            "tightening_current_threshold (assumed)": 0.9,
-            "clamp_torque_Nm (assumed)": 0.26,
-            "breakaway_factor (assumed)": 1.15,
-            "housed_rest_position_m (assumed)": -0.003,
+            "flexnut_friction_torque_Nm (assumed)": latch.flexnut_friction_torque,
+            "bracket_thickness_m": latch.bracket_thickness,
+            "tslot_gap_m (assumed)": latch.tslot_gap,
+            "tightening_current_threshold (assumed)":
+                latch.tightening_current_threshold,
+            "clamp_torque_Nm (assumed)": latch.clamp_torque,
+            "breakaway_factor (assumed)": latch.breakaway_factor,
+            "housed_rest_position_m (assumed)": latch.housed_rest_position,
             "latch_voltage_V": LATCH_VOLTAGE,
             "unlatch_voltage_V": UNLATCH_VOLTAGE,
             "dt_s": DEFAULT_DT,
         },
         "structure": {
-            "tslot_max_force_N": 5000.0,
-            "bracket_40x40": "F<1000N, F*l<50Nm",
-            "bracket_80x80": "F<2000N, F*l<150Nm",
-            "bracket_160x80": "F<2000N, F*l<150Nm",
-            "plate_m": [0.116, 0.040, 0.009],
-            "yield_strength_Pa (assumed: mild steel)": 250e6,
+            "tslot_max_force_N": TSLOT_MAX_FORCE_N,
+            **{f"bracket_{b.designation}":
+                   f"F<{b.max_force:g}N, F*l<{b.max_moment:g}Nm"
+               for b in (BRACKET_40X40, BRACKET_80X80, BRACKET_160X80)},
+            "plate_m": [plate.length, plate.height, plate.thickness],
+            "yield_strength_Pa (assumed: mild steel)":
+                MaterialSpec().yield_strength,
         },
         "dewalop": {
             "pipe_diameter_range_m": [PIPE_DIAMETER_MIN, PIPE_DIAMETER_MAX],

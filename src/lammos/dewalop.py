@@ -40,7 +40,7 @@ class PipeEnvironment:
         if not (defaults.PIPE_DIAMETER_MIN <= self.inner_diameter
                 <= defaults.PIPE_DIAMETER_MAX):
             raise ValueError(
-                f"pipe diameter {self.inner_diameter} m outside operating range "
+                f"pipe out of operating range: {self.inner_diameter} m not in "
                 f"[{defaults.PIPE_DIAMETER_MIN}, {defaults.PIPE_DIAMETER_MAX}] m"
             )
 
@@ -159,17 +159,11 @@ def lower_leg(leg: WheeledLeg, target_angle: float) -> WheeledLeg:
     return replace(leg, hinge_angle=target_angle)
 
 
-@dataclass(frozen=True)
-class WallPressResult:
-    unit: MaintenanceUnit
-    centered: bool
-
-
-def wall_press(unit: MaintenanceUnit, pipe: PipeEnvironment) -> WallPressResult:
+def wall_press(unit: MaintenanceUnit, pipe: PipeEnvironment) -> MaintenanceUnit:
     """Extend every leg until its wheel contacts the pipe wall.
 
-    Requires all hinges perpendicular. Centered iff the three extensions in
-    each ring are equal, which the symmetric pipe guarantees.
+    Requires all hinges perpendicular. The symmetric pipe asks the same
+    extension of every leg, so the pressed unit is centered.
     """
     for leg in unit.legs:
         if leg.hinge_angle != 0.0:
@@ -185,10 +179,7 @@ def wall_press(unit: MaintenanceUnit, pipe: PipeEnvironment) -> WallPressResult:
                 f"of leg {leg.leg_id}"
             )
         new_unit = new_unit.with_leg(replace(leg, extension=required))
-    extensions = [l.extension for l in new_unit.legs]
-    centered = max(extensions) - min(extensions) == 0.0
-    new_unit = replace(new_unit, centered=centered)
-    return WallPressResult(unit=new_unit, centered=centered)
+    return replace(new_unit, centered=True)
 
 
 @dataclass(frozen=True)

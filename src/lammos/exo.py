@@ -42,6 +42,8 @@ class ExoJoint:
     load_torque: float = 0.0  # N*m at the joint
 
     def __post_init__(self):
+        # Raises VoltageRangeError outside the motor's characterized range.
+        self.motor.stall_torque(self.supply_voltage)
         if self.standby_power < 0:
             raise ValueError("standby power must be non-negative")
         if self.load_torque < 0:
@@ -60,13 +62,14 @@ class LoadTimeline:
     end_time: float
 
     def __post_init__(self):
+        if not self.points:
+            raise ValueError("load timeline has no points")
         times = [t for t, _ in self.points]
         if times != sorted(set(times)):
             raise ValueError("timeline times must be strictly increasing")
         if any(load < 0 for _, load in self.points):
             raise ValueError("loads must be non-negative")
-        if self.points and (self.points[0][0] != 0.0
-                            or self.end_time < self.points[-1][0]):
+        if self.points[0][0] != 0.0 or self.end_time < self.points[-1][0]:
             raise ValueError("timeline must start at t=0 and end after its "
                              "last point")
 
@@ -82,8 +85,7 @@ class LoadTimeline:
         """Yield (start, end, load) covering [0, end_time]."""
         for (t0, load), (t1, _) in zip(self.points, self.points[1:]):
             yield t0, t1, load
-        if self.points:
-            yield self.points[-1][0], self.end_time, self.points[-1][1]
+        yield self.points[-1][0], self.end_time, self.points[-1][1]
 
 
 def hold_power(joint: ExoJoint) -> float:
@@ -104,13 +106,9 @@ def hold_power(joint: ExoJoint) -> float:
 
 def latch_energy(joint: ExoJoint, dt: float = defaults.DEFAULT_DT) -> float:
     """One-shot energy to drive the joint lock from Housed to Latched."""
-    lock = joint.lock
-    if lock.state is not LatchState.HOUSED:
-        lock = replace(lock, state=LatchState.HOUSED,
-                       screw_tip_position=lock.housed_rest_position)
     cmd = DriveCommand(voltage=defaults.LATCH_VOLTAGE,
                        direction=Direction.CLOCKWISE)
-    final, trace, _ = run_until(lock, cmd, dt, LatchState.LATCHED)
+    final, trace, _ = run_until(_housed(joint.lock), cmd, dt, LatchState.LATCHED)
     if final.state is not LatchState.LATCHED:
         raise RuntimeError("lock failed to latch within the simulation window")
     return trace.energy(lambda t: defaults.LATCH_VOLTAGE, dt)
@@ -128,8 +126,7 @@ def energy_comparison(joint: ExoJoint, timeline: LoadTimeline,
                       lock_at: Optional[float] = None,
                       dt: float = defaults.DEFAULT_DT) -> EnergyComparison:
     """Integrate holding power with and without engaging the lock."""
-    if lock_at is not None and not (0.0 <= lock_at <= timeline.end_time):
-        raise ValueError("lock_at must fall within the timeline")
+    check_lock_at(lock_at, timeline)
     unlocked = replace(joint, lock=_housed(joint.lock))
     held = 0.0
     locked = 0.0
@@ -153,6 +150,12 @@ def energy_comparison(joint: ExoJoint, timeline: LoadTimeline,
     savings = (held - locked) - one_shot
     return EnergyComparison(held_energy=held, locked_energy=locked + one_shot,
                             savings=savings, latch_energy=one_shot)
+
+
+def check_lock_at(lock_at: Optional[float], timeline: LoadTimeline) -> None:
+    """Reject a lock time outside the timeline (None never locks)."""
+    if lock_at is not None and not (0.0 <= lock_at <= timeline.end_time):
+        raise ValueError("lock_at must fall within the timeline")
 
 
 def _housed(lock: LatchFsm) -> LatchFsm:
@@ -213,40 +216,9 @@ def comparison_report(name: str, joint: ExoJoint, timeline: LoadTimeline,
     return "\n".join(lines) + "\n"
 
 
-def validate_config(raw: dict) -> list[str]:
-    """Static diagnostics for an exo scenario document."""
-    diags: list[str] = []
-    if not raw.get("name"):
-        diags.append("missing scenario name")
-    end = raw.get("end_time_s")
-    if not isinstance(end, (int, float)) or end < 0:
-        diags.append("missing or negative end_time_s")
-    timeline = raw.get("load_timeline", [])
-    if not isinstance(timeline, list) or not timeline:
-        diags.append("missing load_timeline")
-    else:
-        times = [p.get("t_s") for p in timeline if isinstance(p, dict)]
-        if len(times) != len(timeline) or any(t is None for t in times):
-            diags.append("load_timeline entries need t_s and load_Nm")
-        elif times != sorted(set(times)):
-            diags.append("load_timeline times must be strictly increasing")
-        if any(p.get("load_Nm", 0) < 0 for p in timeline
-               if isinstance(p, dict)):
-            diags.append("negative load in timeline")
-    lock_at = raw.get("lock_at_s")
-    if lock_at is not None and isinstance(end, (int, float)):
-        if not (0 <= lock_at <= end):
-            diags.append("lock_at_s outside the timeline")
-    voltage = raw.get("supply_voltage_V", defaults.LATCH_VOLTAGE)
-    if not (3.0 <= voltage <= 6.0):
-        diags.append("supply voltage outside characterized range [3, 6] V")
-    return diags
-
-
 def build_joint(raw: dict) -> tuple[ExoJoint, LoadTimeline, Optional[float]]:
-    diags = validate_config(raw)
-    if diags:
-        raise ValueError("; ".join(diags))
+    """The joint, timeline and lock time of a type-checked exo document
+    (see ``sequence.parse``); a broken rule raises ValueError."""
     joint = ExoJoint(
         motor=defaults.default_motor(),
         lock=defaults.default_latch_fsm(),
@@ -257,4 +229,5 @@ def build_joint(raw: dict) -> tuple[ExoJoint, LoadTimeline, Optional[float]]:
         points=tuple((p["t_s"], p["load_Nm"]) for p in raw["load_timeline"]),
         end_time=raw["end_time_s"],
     )
+    check_lock_at(raw.get("lock_at_s"), timeline)
     return joint, timeline, raw.get("lock_at_s")

@@ -45,6 +45,7 @@ ACTIONS = (
 # Wall-clock allotted to purely mechanical (non-latch) actions in the log.
 MECHANICAL_ACTION_DURATION = 1.0  # s
 LATCH_TIMEOUT = 120.0             # s of simulated drive per latch action
+MIN_DT = 1e-5  # s; bounds a LATCH_TIMEOUT drive to 1.2e7 steps
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,22 @@ class StepSpec:
     def __post_init__(self):
         if self.action not in ACTIONS:
             raise ValueError(f"unknown action {self.action!r}")
+        angle = self.parameters.get("angle_deg")
+        if angle is not None and not (0 < angle < 90):
+            raise ValueError(f"lowering angle {angle} deg out of (0, 90)")
+        if "voltage_V" in self.parameters:
+            # Raises VoltageRangeError outside the motor's characterized range.
+            defaults.default_motor().stall_torque(self.parameters["voltage_V"])
+
+
+def _check_run(name: str, dt: float) -> None:
+    """The rules on what every scenario names and how finely it steps."""
+    if not (name and name.isprintable() and "/" not in name):
+        raise ValueError(f"scenario name {name!r} must be non-empty and "
+                         "printable, without '/'")
+    if not (MIN_DT <= dt < math.inf):
+        raise ValueError(f"non-positive timestep: dt {dt} s must be finite "
+                         f"and at least {MIN_DT} s")
 
 
 @dataclass(frozen=True)
@@ -67,9 +84,22 @@ class Scenario:
 
     def __post_init__(self):
         if not self.steps:
-            raise ValueError("scenario must contain at least one step")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise ValueError("scenario has no steps")
+        _check_run(self.name, self.dt)
+
+
+@dataclass(frozen=True)
+class ExoScenario:
+    """A joint-lock study: the joint, its load timeline and when it locks."""
+
+    name: str
+    joint: "exo.ExoJoint"
+    timeline: "exo.LoadTimeline"
+    lock_at: Optional[float]
+    dt: float = defaults.DEFAULT_DT
+
+    def __post_init__(self):
+        _check_run(self.name, self.dt)
 
 
 @dataclass(frozen=True)
@@ -193,7 +223,8 @@ def _drive_latches(run: _Run, which: str, direction: Direction,
 
 
 def _do_lower_legs(run: _Run, params: dict):
-    angle = params.get("angle_rad", run.unit.lowering_angle)
+    angle = (math.radians(params["angle_deg"]) if "angle_deg" in params
+             else run.unit.lowering_angle)
     for leg in run.unit.ring_legs("top"):
         try:
             run.unit = run.unit.with_leg(lower_leg(leg, angle))
@@ -245,12 +276,9 @@ def _do_latch_angle(run: _Run, params: dict):
 
 def _do_extend_legs(run: _Run, params: dict):
     try:
-        result = wall_press(run.unit, run.scenario.pipe)
+        run.unit = wall_press(run.unit, run.scenario.pipe)
     except LegStateError as exc:
         raise _StepFailure(str(exc))
-    if not result.centered:
-        raise _StepFailure("wall press did not center the unit")
-    run.unit = result.unit
     run.t += MECHANICAL_ACTION_DURATION
     run.emit("extend_legs", "wall press complete, unit centered")
 
@@ -344,57 +372,96 @@ def run_scenario(scenario: Scenario):
 
 # -- scenario files -----------------------------------------------------------
 
-def validate(raw: Any) -> list[str]:
-    """Static diagnostics for a parsed scenario document (no execution)."""
+# A document's shape: an object maps its keys to shapes, a one-item list is a
+# list of that shape, and a type (or a tuple of types) is a JSON value; float
+# stands for any finite number.
+_COMMON = {"name": str, "type": str, "dt_s": float}
+_SHAPES = {
+    "dewalop": {**_COMMON, "pipe": {"inner_diameter_m": float},
+                "steps": [{"action": str, "angle_deg": float, "voltage_V": float,
+                           "acknowledge_push_force": bool}]},
+    "exo": {**_COMMON, "supply_voltage_V": float, "standby_power_W": float,
+            "end_time_s": float, "lock_at_s": (float, type(None)),
+            "load_timeline": [{"t_s": float, "load_Nm": float}]},
+}
+_OPTIONAL = {"type", "dt_s", "angle_deg", "voltage_V", "acknowledge_push_force",
+             "supply_voltage_V", "standby_power_W", "lock_at_s"}
+_KIND_NAMES = {float: "a finite number", str: "a string", bool: "true or false",
+               type(None): "null"}
+
+
+def _shape_errors(value, shape, path: str) -> list[str]:
+    """Where ``value``, at JSON path ``path``, breaks ``shape``."""
+    if isinstance(shape, list):
+        if type(value) is not list:
+            return [f"{path}: expected a list"]
+        return [error for i, item in enumerate(value)
+                for error in _shape_errors(item, shape[0], f"{path}[{i}]")]
+    if isinstance(shape, dict):
+        if type(value) is not dict:
+            return [f"{path}: expected an object"]
+        errors = [f"{path}: unknown key {key!r}" for key in value
+                  if key not in shape]
+        for key, sub in shape.items():
+            if key in value:
+                errors += _shape_errors(value[key], sub, f"{path}.{key}")
+            elif key not in _OPTIONAL:
+                errors.append(f"{path}.{key}: missing")
+        return errors
+    kinds = shape if isinstance(shape, tuple) else (shape,)
+    kind = float if type(value) is int else type(value)
+    if kind in kinds and (kind is not float or abs(value) < 1e300):
+        return []  # a number must be finite and far from overflow
+    return [f"{path}: expected {' or '.join(map(_KIND_NAMES.get, kinds))}"]
+
+
+def _build(diags: list[str], prefix: str, make, *args):
+    """``make(*args)``, or None with its ValueError added to ``diags``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        diags.append(prefix + str(exc))
+
+
+def parse(raw: Any, dt: Optional[float] = None):
+    """Check a scenario document and build its frozen config.
+
+    Returns (config, diagnostics, usage). ``usage`` holds the JSON type and
+    shape errors, each with its path, and stops the build; ``diagnostics``
+    the domain rules broken, as their constructors word them. ``config``, a
+    Scenario or an ExoScenario, is None unless both are empty. ``dt``
+    overrides the document's ``dt_s``.
+    """
+    kind = raw.get("type", "dewalop") if type(raw) is dict else "dewalop"
+    usage = (_shape_errors(raw, _SHAPES[kind], "$") if kind in ("dewalop", "exo")
+             else [f"$.type: unknown scenario type {kind!r}"])
+    if usage:
+        return None, [], usage
+    dt = raw.get("dt_s", defaults.DEFAULT_DT) if dt is None else dt
     diags: list[str] = []
-    if not isinstance(raw, dict):
-        return ["scenario document must be a JSON object"]
-    kind = raw.get("type", "dewalop")
+    config = None
     if kind == "exo":
         from . import exo
-        return exo.validate_config(raw)
-    if kind != "dewalop":
-        return [f"unknown scenario type {kind!r}"]
-    if not raw.get("name"):
-        diags.append("missing scenario name")
-    pipe = raw.get("pipe", {})
-    diameter = pipe.get("inner_diameter_m")
-    if diameter is None:
-        diags.append("missing pipe.inner_diameter_m")
-    elif not (defaults.PIPE_DIAMETER_MIN <= diameter <= defaults.PIPE_DIAMETER_MAX):
-        diags.append(f"pipe out of operating range: {diameter} m not in "
-                     f"[{defaults.PIPE_DIAMETER_MIN}, {defaults.PIPE_DIAMETER_MAX}] m")
-    dt = raw.get("dt_s", defaults.DEFAULT_DT)
-    if not isinstance(dt, (int, float)) or dt <= 0:
-        diags.append("non-positive timestep")
-    steps = raw.get("steps", [])
-    if not steps:
-        diags.append("scenario has no steps")
-    for i, step in enumerate(steps):
-        action = step.get("action") if isinstance(step, dict) else None
-        if action not in ACTIONS:
-            diags.append(f"step {i + 1}: unknown action {action!r}")
-            continue
-        angle = step.get("angle_deg")
-        if angle is not None and not (0 < angle < 90):
-            diags.append(f"step {i + 1}: lowering angle {angle} deg out of (0, 90)")
-    return diags
+        parts = _build(diags, "", exo.build_joint, raw)
+        if parts:
+            config = _build(diags, "", ExoScenario, raw["name"], *parts, dt)
+    else:
+        pipe = _build(diags, "", PipeEnvironment,
+                      raw["pipe"]["inner_diameter_m"])
+        steps = tuple(
+            _build(diags, f"step {i}: ", StepSpec, step["action"],
+                   {k: v for k, v in step.items() if k != "action"})
+            for i, step in enumerate(raw["steps"], 1))
+        if not diags:
+            config = _build(diags, "", Scenario, raw["name"], default_unit(),
+                            pipe, steps, dt)
+    return config, diags, []
 
 
-def build_scenario(raw: dict) -> Scenario:
-    """Construct an executable scenario from a validated document."""
-    diags = validate(raw)
-    if diags:
-        raise ValueError("; ".join(diags))
-    pipe = PipeEnvironment(inner_diameter=raw["pipe"]["inner_diameter_m"])
-    steps = []
-    for step in raw["steps"]:
-        params = {k: v for k, v in step.items() if k != "action"}
-        if "angle_deg" in params:
-            params["angle_rad"] = math.radians(params.pop("angle_deg"))
-        steps.append(StepSpec(action=step["action"], parameters=params))
-    return Scenario(name=raw["name"], robot=default_unit(), pipe=pipe,
-                    steps=tuple(steps), dt=raw.get("dt_s", defaults.DEFAULT_DT))
+def validate(raw: Any) -> list[str]:
+    """Every problem ``parse`` finds in a scenario document."""
+    _, diags, usage = parse(raw)
+    return usage + diags
 
 
 def canonical_steps() -> list[dict]:
@@ -419,27 +486,20 @@ def reverse_steps() -> list[dict]:
     ]
 
 
+def _procedure(name: str, steps: list[dict], diameter_m: float, dt: float,
+               robot: MaintenanceUnit | None = None) -> Scenario:
+    return Scenario(name=name, robot=robot or default_unit(),
+                    pipe=PipeEnvironment(diameter_m),
+                    steps=tuple(StepSpec(**step) for step in steps), dt=dt)
+
+
 def canonical_scenario(diameter_m: float = 0.800,
                        dt: float = defaults.DEFAULT_DT) -> Scenario:
-    return build_scenario({
-        "name": "canonical-insertion",
-        "type": "dewalop",
-        "pipe": {"inner_diameter_m": diameter_m},
-        "dt_s": dt,
-        "steps": canonical_steps(),
-    })
+    return _procedure("canonical-insertion", canonical_steps(), diameter_m, dt)
 
 
 def reverse_scenario(diameter_m: float = 0.800,
                      dt: float = defaults.DEFAULT_DT,
                      robot: MaintenanceUnit | None = None) -> Scenario:
-    scenario = build_scenario({
-        "name": "canonical-reverse",
-        "type": "dewalop",
-        "pipe": {"inner_diameter_m": diameter_m},
-        "dt_s": dt,
-        "steps": reverse_steps(),
-    })
-    if robot is not None:
-        scenario = replace(scenario, robot=robot)
-    return scenario
+    return _procedure("canonical-reverse", reverse_steps(), diameter_m, dt,
+                      robot)

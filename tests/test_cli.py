@@ -1,9 +1,12 @@
 """CLI contract tests: subcommands, exit codes, reproducible artifacts."""
 
+import copy
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lammos.cli import main
 
@@ -12,6 +15,72 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+MECHANICAL = {
+    "name": "preflight", "type": "dewalop",
+    "pipe": {"inner_diameter_m": 0.850}, "dt_s": 0.01,
+    "steps": [{"action": a} for a in (
+        "lower_legs", "move_into_pipe", "raise_legs", "extend_legs",
+        "retract_legs", "lower_legs", "exit_pipe")],
+}
+LATCHING = {**MECHANICAL, "steps": [
+    {"action": "lower_legs", "angle_deg": 20},
+    {"action": "move_into_pipe", "acknowledge_push_force": True},
+    {"action": "raise_legs"},
+    {"action": "latch_angle", "voltage_V": 3.0},
+    {"action": "extend_legs"},
+]}
+EXO = {
+    "name": "exo-preflight", "type": "exo", "supply_voltage_V": 3.0,
+    "standby_power_W": 0.1, "end_time_s": 60.0, "lock_at_s": 6.0,
+    "dt_s": 0.01, "load_timeline": [{"t_s": 0.0, "load_Nm": 0.1}],
+}
+
+
+def _with(doc, value, *path):
+    """A copy of ``doc`` with the field at ``path`` set to ``value``."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+# Boundary inputs the exit-code contract maps to 2 (usage error): the
+# malformed kinds of the benchmark's preflight_batch workload.
+MALFORMED = {
+    "bad_pipe_type": ("check", _with(MECHANICAL, [0.85], "pipe"), ()),
+    "bad_diameter_type": ("check", _with(MECHANICAL, "0.85", "pipe",
+                                         "inner_diameter_m"), ()),
+    "bad_angle_type": ("check", _with(MECHANICAL, [
+        {"action": "lower_legs", "angle_deg": "20"}], "steps"), ()),
+    "bad_load_type": ("check", _with(EXO, "0.1", "load_timeline", 0,
+                                     "load_Nm"), ()),
+    "bad_voltage_type": ("check", _with(EXO, "3.0", "supply_voltage_V"), ()),
+    "bad_lock_type": ("check", _with(EXO, "5", "lock_at_s"), ()),
+    "bad_steps_type": ("check", _with(MECHANICAL, "lower_legs", "steps"), ()),
+    "bad_step_voltage": ("run", _with(LATCHING, 7.0, "steps", 3,
+                                      "voltage_V"), ()),
+    "bad_exo_dt": ("run", {**EXO, "dt_s": -0.001, "lock_at_s": 0.0}, ()),
+    "bad_dt_zero": ("run", MECHANICAL, ("--dt", "0")),
+    "bad_dt_nan": ("run", MECHANICAL, ("--dt", "nan")),
+    "bad_name_path": ("run", _with(MECHANICAL, "../escape", "name"), ()),
+}
+
+
+def _call(command, doc_path, out, extra=()):
+    if command == "check":
+        return run_cli("check", str(doc_path))
+    return run_cli("run", "--config", str(doc_path), "--out", str(out),
+                   "--emit", "trace,log,report", *extra)
+
+
+def _files_outside(root: Path, allowed) -> list:
+    return [p for p in root.rglob("*")
+            if p.is_file() and not any(a == p or a in p.parents
+                                       for a in allowed)]
 
 
 class TestRun:
@@ -54,12 +123,18 @@ class TestRun:
         body = (tmp_path / "exo-hold-600s_report.txt").read_text()
         assert "locking pays off" in body
 
+    def test_exo_lock_that_never_latches_exits_one(self, tmp_path, capsys):
+        code = run_cli("run", "--config", str(SCENARIOS / "exo_hold_600s.json"),
+                       "--out", str(tmp_path), "--dt", "60")
+        assert code == 1
+        assert "lock failed to latch" in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
             code = run_cli("run", "--config",
                            str(SCENARIOS / "canonical_800mm.json"),
-                           "--out", str(out), "--dt", "0.005", "--seed", "7")
+                           "--out", str(out), "--dt", "0.005")
             assert code == 0
         for name in ("canonical-insertion_trace.csv",
                      "canonical-insertion_events.csv",
@@ -80,6 +155,81 @@ class TestCheck:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli("check", str(bad)) == 2
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"name": "\xff"}')
+        assert run_cli("check", str(bad)) == 2
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_malformed_kind_exits_two(self, kind, tmp_path, capsys):
+        command, doc, extra = MALFORMED[kind]
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(doc))
+        out = tmp_path / "sub" / "out"
+        assert _call(command, doc_path, out, extra) == 2
+        assert list(tmp_path.rglob("*")) == [doc_path]
+        assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_artifact_exits_two(self, tmp_path, capsys):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(_with(MECHANICAL, "x" * 300, "name")))
+        assert _call("run", doc_path, tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("doc", [
+        *sorted(p.name for p in SCENARIOS.glob("*.json")),
+        *sorted(MALFORMED)])
+    def test_check_and_run_agree(self, doc, tmp_path, capsys):
+        if doc in MALFORMED:
+            doc_path = tmp_path / "doc.json"
+            doc_path.write_text(json.dumps(MALFORMED[doc][1]))
+        else:
+            doc_path = SCENARIOS / doc
+        checked = _call("check", doc_path, None)
+        ran = _call("run", doc_path, tmp_path / "out")
+        assert checked in (0, 1, 2) and ran in (0, 1, 2)
+        assert (checked == 0) == (ran != 2)
+
+    @given(base=st.sampled_from([
+               (LATCHING, ("name",), ("type",), ("pipe",),
+                ("pipe", "inner_diameter_m"), ("steps",), ("steps", 0),
+                ("steps", 0, "angle_deg"), ("steps", 1, "action"),
+                ("steps", 1, "acknowledge_push_force"),
+                ("steps", 3, "voltage_V"), ("extra",)),
+               (EXO, ("name",), ("type",), ("supply_voltage_V",),
+                ("standby_power_W",), ("end_time_s",), ("lock_at_s",),
+                ("load_timeline",), ("load_timeline", 0),
+                ("load_timeline", 0, "t_s"), ("load_timeline", 0, "load_Nm"),
+                ("extra",))]),
+           data=st.data(),
+           value=st.recursive(
+               st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=8),
+               lambda inner: st.lists(inner, max_size=3)
+               | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+               max_leaves=6),
+           dt=st.none() | st.sampled_from(
+               ["0", "-0.01", "nan", "inf", "-inf", "1e-9", "9e-6", "abc", "",
+                "0.005", "60", "1e308"]) | st.floats(min_value=0.005).map(repr))
+    @settings(max_examples=100, deadline=None)
+    def test_any_document_and_dt_exit_within_contract(self, base, data,
+                                                       value, dt):
+        doc, *paths = base
+        path = data.draw(st.sampled_from([None, *paths]))  # None: unchanged
+        if path is not None:
+            doc = _with(doc, value, *path)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            doc_path = root / "doc.json"
+            doc_path.write_text(json.dumps(doc))
+            out = root / "sub" / "out"
+            extra = () if dt is None else ("--dt", dt)
+            for command in ("check", "run"):
+                assert _call(command, doc_path, out, extra) in (0, 1, 2)
+            assert _files_outside(root, [doc_path, out]) == []
 
 
 class TestSf:

@@ -128,15 +128,16 @@ class TestLowerLeg:
 
 class TestWallPress:
     def test_symmetric_pipe_centers(self):
-        result = wall_press(raised_unit(), PipeEnvironment(0.800))
-        assert result.centered
-        extensions = [l.extension for l in result.unit.legs]
+        unit = wall_press(raised_unit(), PipeEnvironment(0.800))
+        assert unit.centered
+        extensions = [l.extension for l in unit.legs]
         assert max(extensions) == min(extensions)
 
     def test_larger_pipe_adds_radius_difference(self):
         small = wall_press(raised_unit(), PipeEnvironment(0.800))
         large = wall_press(raised_unit(), PipeEnvironment(1.000))
-        delta = (large.unit.legs[0].extension - small.unit.legs[0].extension)
+        assert small.centered and large.centered
+        delta = (large.legs[0].extension - small.legs[0].extension)
         assert delta == pytest.approx(0.100, rel=1e-12)
 
     def test_lowered_leg_rejected(self):
@@ -152,9 +153,10 @@ class TestWallPress:
     @given(diameter=st.floats(min_value=0.800, max_value=1.000))
     @settings(max_examples=50, deadline=None)
     def test_ring_extensions_equal(self, diameter):
-        result = wall_press(raised_unit(), PipeEnvironment(diameter))
+        unit = wall_press(raised_unit(), PipeEnvironment(diameter))
+        assert unit.centered
         for ring in ("top", "bottom"):
-            exts = [l.extension for l in result.unit.ring_legs(ring)]
+            exts = [l.extension for l in unit.ring_legs(ring)]
             assert max(exts) - min(exts) <= 1e-12
 
 

@@ -1,8 +1,12 @@
 """Byte-identity of every emitted artifact against recorded digests.
 
 The digests were recorded on the per-step latch engine, before the drive
-loop was fused into one kernel. Any change to a verdict, an event log, a
-trace digit, a report line or a comparison value shows up here.
+loop was fused into one kernel; the three robot ``_report.txt`` digests
+were re-recorded when the report lost its ``seed:`` line (the ``--seed``
+option was removed), and the ``lammos defaults`` digest was recorded before
+``defaults_as_dict`` was derived from the dataclass defaults. Any change to
+a verdict, an event log, a trace digit, a report line, a comparison value
+or a default shows up here.
 
 ``python tests/test_golden.py`` prints the digests of the current code.
 """
@@ -40,7 +44,7 @@ GOLDEN = {
         "broken-ordering_events.csv":
             "737dd3e89f35c48baa93dddf8bbc33c3b554559b8e65a83f72e212b43e1ef4eb",
         "broken-ordering_report.txt":
-            "15b8be2ee33bb1ffaef9b0e18c29b710b32dcf3632aed50665cc0443c033da80",
+            "593ace50d231e9afb7e930112654e8cead198f5c1992701e2f8be494510c3c7b",
         "broken-ordering_trace.csv":
             "b20ba434987224e3199b69fac9e251c862c1be7aa4e6434ef362839c748d93a6",
     },
@@ -53,7 +57,7 @@ GOLDEN = {
         "canonical-insertion_events.csv":
             "e447a08b255008766a1c784c4bd0cb518aca0c179a3c2d9bbae1914b00465364",
         "canonical-insertion_report.txt":
-            "129c9fd4bb2960018c5aa06a9cb0939dc6d90cc26f5dc0401e6b840c3213e8d6",
+            "73a7f4e8503b09896615c3eb3135302720b03ffa2b1965829cb77849ce0a1a57",
         "canonical-insertion_trace.csv":
             "4135f86776c9c0e7bfaecc563086f2288b7fd09c56bbd27260c4c64d3f922067",
     },
@@ -66,7 +70,7 @@ GOLDEN = {
         "canonical-insertion_events.csv":
             "e9dc762a0c362e9bc2a80f51fda87da217f870d98c8f1a81fc3f6331b27bbff1",
         "canonical-insertion_report.txt":
-            "129c9fd4bb2960018c5aa06a9cb0939dc6d90cc26f5dc0401e6b840c3213e8d6",
+            "73a7f4e8503b09896615c3eb3135302720b03ffa2b1965829cb77849ce0a1a57",
         "canonical-insertion_trace.csv":
             "b163fc61b81e37057217c7b3a3a8313c1b7e46ba0625a89d7ab2dcf032716ddb",
     },
@@ -96,6 +100,13 @@ GOLDEN = {
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "latch_cycle_trace.csv":
             "95834b791aad1bf1b369211aef74c82c75e0df14cc0bfaaacbb796908f9258a9",
+    },
+    "defaults": {
+        "exit": 0,
+        "stdout":
+            "75ec4b27398314a6808ce0f339826f0a5cb3337518925467ff8ba8e19213aae5",
+        "stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
 }
 
@@ -143,6 +154,10 @@ def latch_cycle_digests(out: Path) -> dict:
     return _outputs(out, run)
 
 
+def defaults_digests(out: Path) -> dict:
+    return _outputs(out, lambda: main(["defaults"]))
+
+
 def all_digests() -> dict:
     digests = {}
     for case in CASES:
@@ -150,6 +165,8 @@ def all_digests() -> dict:
             digests[case] = scenario_digests(case, Path(tmp))
     with tempfile.TemporaryDirectory() as tmp:
         digests["latch_cycle_trace"] = latch_cycle_digests(Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        digests["defaults"] = defaults_digests(Path(tmp))
     return digests
 
 
@@ -160,6 +177,10 @@ def test_scenario_artifacts_match_golden(case, tmp_path):
 
 def test_latch_cycle_trace_matches_golden(tmp_path):
     assert latch_cycle_digests(tmp_path) == GOLDEN["latch_cycle_trace"]
+
+
+def test_defaults_output_matches_golden(tmp_path):
+    assert defaults_digests(tmp_path) == GOLDEN["defaults"]
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ from lammos.latch import LatchState
 from lammos.sequence import (
     Scenario,
     StepSpec,
-    build_scenario,
     canonical_scenario,
+    parse,
     reverse_scenario,
     run_scenario,
     snapshot_hash,
@@ -20,6 +20,12 @@ from lammos.sequence import (
 
 # Coarser timestep keeps full-procedure runs fast; behavior is dt-robust.
 FAST_DT = 0.005
+
+
+def build_scenario(raw):
+    scenario, diags, usage = parse(raw)
+    assert (diags, usage) == ([], [])
+    return scenario
 
 
 def run_canonical(dt=FAST_DT):
