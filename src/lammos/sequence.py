@@ -46,6 +46,7 @@ ACTIONS = (
 MECHANICAL_ACTION_DURATION = 1.0  # s
 LATCH_TIMEOUT = 120.0             # s of simulated drive per latch action
 MIN_DT = 1e-5  # s; bounds a LATCH_TIMEOUT drive to 1.2e7 steps
+_LATCH_MOTOR = defaults.default_motor()  # of every latch in default_unit()
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,11 @@ class StepSpec:
             raise ValueError(f"lowering angle {angle} deg out of (0, 90)")
         if "voltage_V" in self.parameters:
             # Raises VoltageRangeError outside the motor's characterized range.
-            defaults.default_motor().stall_torque(self.parameters["voltage_V"])
+            _LATCH_MOTOR.stall_torque(self.parameters["voltage_V"])
 
 
-def _check_run(name: str, dt: float) -> None:
-    """The rules on what every scenario names and how finely it steps."""
+def _check_name_and_dt(name: str, dt: float) -> None:
+    """The rules on the name and timestep of every scenario."""
     if not (name and name.isprintable() and "/" not in name):
         raise ValueError(f"scenario name {name!r} must be non-empty and "
                          "printable, without '/'")
@@ -85,7 +86,7 @@ class Scenario:
     def __post_init__(self):
         if not self.steps:
             raise ValueError("scenario has no steps")
-        _check_run(self.name, self.dt)
+        _check_name_and_dt(self.name, self.dt)
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class ExoScenario:
     dt: float = defaults.DEFAULT_DT
 
     def __post_init__(self):
-        _check_run(self.name, self.dt)
+        _check_name_and_dt(self.name, self.dt)
 
 
 @dataclass(frozen=True)

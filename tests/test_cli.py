@@ -74,7 +74,7 @@ def _call(command, doc_path, out, extra=()):
     if command == "check":
         return run_cli("check", str(doc_path))
     return run_cli("run", "--config", str(doc_path), "--out", str(out),
-                   "--emit", "trace,log,report", *extra)
+                   *extra)
 
 
 def _files_outside(root: Path, allowed) -> list:
