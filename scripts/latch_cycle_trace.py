@@ -31,20 +31,20 @@ def main():
     housed, unlatch_trace, unlatch_events = run_until(
         latched, ccw, dt, LatchState.HOUSED, t0=latch_trace.duration)
 
-    peak = max(s.current for s in unlatch_trace.samples)
+    peak = max(unlatch_trace.current)
     print(f"latch at {defaults.LATCH_VOLTAGE} V:   "
           f"{latch_trace.duration:.2f} s, "
-          f"final current {latch_trace.samples[-1].current * 1000:.0f} mA")
+          f"final current {latch_trace.current[-1] * 1000:.0f} mA")
     print(f"unlatch at {defaults.UNLATCH_VOLTAGE} V: "
           f"{unlatch_trace.duration - latch_trace.duration:.2f} s, "
           f"breakaway peak {peak * 1000:.0f} mA")
     for t, event in latch_events + unlatch_events:
         print(f"  t={t:8.3f} s  {event.name}")
 
-    header, _, latch_rows = latch_trace.to_csv().partition("\n")
-    unlatch_rows = unlatch_trace.to_csv().split("\n", 1)[1]
+    rows = ["t_s,current_A,position_m,state", *latch_trace.csv_rows(),
+            *unlatch_trace.csv_rows()]
     with open(out, "w") as fh:
-        fh.write(header + "\n" + latch_rows + unlatch_rows)
+        fh.write("\n".join(rows) + "\n")
     print(f"trace written to {out}")
 
 

@@ -11,6 +11,8 @@ motor sits on its torque-speed line for the load of the current state.
 from __future__ import annotations
 
 import enum
+import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
@@ -23,6 +25,16 @@ from .mechlib import (
     motor_operating_point,  # noqa: F401  (perfbench/tracer.py wraps it here)
     screw_back_drive_torque,
 )
+
+MIN_DT = 1e-5          # s; bounds a LATCH_TIMEOUT drive to 1.2e7 steps
+LATCH_TIMEOUT = 120.0  # s of simulated drive per latch action
+
+
+def check_dt(dt: float) -> None:
+    """The timestep rule of every drive: finite and at least MIN_DT."""
+    if not (MIN_DT <= dt < math.inf):
+        raise ValueError(f"non-positive timestep: dt {dt} s must be finite "
+                         f"and at least {MIN_DT} s")
 
 
 class LatchStateError(RuntimeError):
@@ -120,24 +132,23 @@ def step(fsm: LatchFsm, cmd: DriveCommand, dt: float):
     (Housed->Engaging, Latched->Loosening) consume the step without motion,
     and positional transitions clamp the tip at the crossed boundary.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check_dt(dt)
     final, _, events = _drive(fsm, ((cmd, 1),), dt, 0.0, sampled=False)
     return final, events[0][1] if events else None
 
 
-def _drive(fsm: LatchFsm, segments, dt: float, t: float,
+def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
            stop_state: Optional[LatchState] = None, sampled: bool = True):
     """The fixed-step kernel behind every drive entry point.
 
     Replays (command, step count) segments, stopping on entry to
     ``stop_state``; a count of None is a non-positive schedule duration,
     rejected when reached. Each step samples the current drawn in the
-    pre-step state, then fires at most one transition. A segment resolves
-    the motor line on its first step that draws current, so an out-of-range
-    voltage raises only there; unless ``sampled``, the entry transitions
-    (Housed->Engaging, Latched->Loosening) draw none. Returns
-    (final fsm, trace, timed events).
+    pre-step state, then fires at most one transition; after k steps the
+    clock reads t0 + k*dt. A segment resolves the motor line on its first
+    step that draws current, so an out-of-range voltage raises only there;
+    unless ``sampled``, the entry transitions (Housed->Engaging,
+    Latched->Loosening) draw none. Returns (final fsm, trace, timed events).
     """
     motor = fsm.motor
     pitch = fsm.screw.thread_pitch
@@ -162,7 +173,7 @@ def _drive(fsm: LatchFsm, segments, dt: float, t: float,
                                 LatchState.HOUSED, "housed"),
     }
     state, pos = fsm.state, fsm.screw_tip_position
-    times, currents, positions, states = [], [], [], []
+    currents, positions, states = array("d"), array("d"), []
     events: list[tuple[float, LatchEvent]] = []
     line = voltage = None
 
@@ -176,7 +187,8 @@ def _drive(fsm: LatchFsm, segments, dt: float, t: float,
 
     for cmd, n in segments:
         if n is None:
-            raise ValueError(f"non-positive segment duration at t={t}")
+            raise ValueError("non-positive segment duration at "
+                             f"t={t0 + len(states) * dt}")
         direction, voltage, line = cmd.direction, cmd.voltage, None
         clockwise = direction is Direction.CLOCKWISE
         # The constant-load state being driven, with its current, advance
@@ -232,18 +244,15 @@ def _drive(fsm: LatchFsm, segments, dt: float, t: float,
                     pos = pos - advance
                     if pos <= limit:
                         state, pos, event = exit_state, limit, exit_event
-            t += dt
-            times.append(t)
             currents.append(sample)
             positions.append(pos)
             states.append(state)
             if event is not None:
-                events.append((t, LatchEvent(event)))
+                events.append((t0 + len(states) * dt, LatchEvent(event)))
 
     if state is not fsm.state or pos is not fsm.screw_tip_position:
         fsm = replace(fsm, state=state, screw_tip_position=pos)
-    samples = tuple(map(TraceSample, times, currents, positions, states))
-    return fsm, CurrentTrace(samples=samples), events
+    return fsm, CurrentTrace(t0, dt, currents, positions, states), events
 
 
 @dataclass(frozen=True)
@@ -256,14 +265,31 @@ class TraceSample:
 
 @dataclass(frozen=True)
 class CurrentTrace:
-    samples: tuple[TraceSample, ...]
+    """A drive's samples as columns: sample k (0-based) ends step k + 1, at
+    t0 + (k + 1)*dt, and ``state`` holds LatchState members."""
+
+    t0: float
+    dt: float
+    current: array
+    position: array
+    state: list
+
+    def _times(self):
+        t0, dt = self.t0, self.dt
+        return (t0 + k * dt for k in range(1, len(self.state) + 1))
+
+    @property
+    def samples(self) -> tuple[TraceSample, ...]:
+        """The samples as frozen TraceSamples, built on each access."""
+        return tuple(map(TraceSample, self._times(), self.current,
+                         self.position, self.state))
 
     def csv_rows(self, prefix: str = "") -> list[str]:
         """One ``t_s,current_A,position_m,state`` row per sample, after
         ``prefix``; numbers as ``csv_number`` writes them."""
-        return ["%s%.9g,%.9g,%.9g,%s" % (prefix, s.t, s.current, s.position,
-                                         s.state.value)
-                for s in self.samples]
+        return ["%s%.9g,%.9g,%.9g,%s" % (prefix, t, i, x, s.value)
+                for t, i, x, s in zip(self._times(), self.current,
+                                      self.position, self.state)]
 
     def to_csv(self) -> str:
         return "\n".join(["t_s,current_A,position_m,state",
@@ -271,33 +297,28 @@ class CurrentTrace:
 
     @property
     def duration(self) -> float:
-        return self.samples[-1].t if self.samples else 0.0
+        return self.t0 + len(self.state) * self.dt if self.state else 0.0
 
     def energy(self, voltage_for: Callable[[float], float], dt: float) -> float:
         """Integrate V*I*dt over the trace given a t -> V lookup."""
-        return sum(voltage_for(s.t) * s.current * dt for s in self.samples)
+        return sum(voltage_for(t) * current * dt
+                   for t, current in zip(self._times(), self.current))
 
 
 def run_schedule(fsm: LatchFsm, schedule: Iterable[tuple[DriveCommand, float]],
                  dt: float, t0: float = 0.0):
     """Replay a command schedule. Returns (final fsm, trace, timed events)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check_dt(dt)
     segments = ((cmd, None if duration <= 0 else int(round(duration / dt)))
                 for cmd, duration in schedule)
     return _drive(fsm, segments, dt, t0)
 
 
-def simulate_trace(fsm: LatchFsm, schedule, dt: float) -> CurrentTrace:
-    """Deterministic trace of a command schedule (bit-identical on replay)."""
-    _, trace, _ = run_schedule(fsm, schedule, dt)
-    return trace
-
-
 def run_until(fsm: LatchFsm, cmd: DriveCommand, dt: float,
-              stop_state: LatchState, max_duration: float = 120.0,
+              stop_state: LatchState, max_duration: float = LATCH_TIMEOUT,
               t0: float = 0.0):
     """Drive with one command until a state is reached (or time out)."""
+    check_dt(dt)
     return _drive(fsm, ((cmd, int(round(max_duration / dt))),), dt, t0,
                   stop_state)
 
@@ -315,6 +336,5 @@ def static_power(fsm: LatchFsm, cmd: Optional[DriveCommand] = None) -> float:
     if cmd is None or cmd.direction is Direction.OFF:
         return 0.0
     # The first step's sample is the current drawn now; dt does not affect it.
-    _, trace, _ = _drive(fsm, ((cmd, 1),), 1.0, 0.0)
-    current = trace.samples[0].current
+    current = _drive(fsm, ((cmd, 1),), 1.0, 0.0)[1].current[0]
     return cmd.voltage * current if current else 0.0

@@ -27,11 +27,13 @@ from .dewalop import (
     wall_press,
 )
 from .latch import (
+    LATCH_TIMEOUT,
     CurrentTrace,
     Direction,
     DriveCommand,
     LatchFsm,
     LatchState,
+    check_dt,
     run_until,
 )
 from .mechlib import csv_number
@@ -44,8 +46,6 @@ ACTIONS = (
 
 # Wall-clock allotted to purely mechanical (non-latch) actions in the log.
 MECHANICAL_ACTION_DURATION = 1.0  # s
-LATCH_TIMEOUT = 120.0             # s of simulated drive per latch action
-MIN_DT = 1e-5  # s; bounds a LATCH_TIMEOUT drive to 1.2e7 steps
 _LATCH_MOTOR = defaults.default_motor()  # of every latch in default_unit()
 
 
@@ -70,9 +70,7 @@ def _check_name_and_dt(name: str, dt: float) -> None:
     if not (name and name.isprintable() and "/" not in name):
         raise ValueError(f"scenario name {name!r} must be non-empty and "
                          "printable, without '/'")
-    if not (MIN_DT <= dt < math.inf):
-        raise ValueError(f"non-positive timestep: dt {dt} s must be finite "
-                         f"and at least {MIN_DT} s")
+    check_dt(dt)
 
 
 @dataclass(frozen=True)
@@ -204,7 +202,7 @@ def _drive_latches(run: _Run, which: str, direction: Direction,
         fsm = getattr(leg, which)
         if fsm not in memo:
             memo[fsm] = run_until(fsm, cmd, run.scenario.dt, stop_state,
-                                  max_duration=LATCH_TIMEOUT, t0=run.t)
+                                  t0=run.t)
         final, trace, events = memo[fsm]
         if final.state is not stop_state:
             raise _StepFailure(
@@ -269,9 +267,6 @@ def _do_latch_angle(run: _Run, params: dict):
     _drive_latches(run, "angle_latch", Direction.CLOCKWISE,
                    params.get("voltage_V", defaults.LATCH_VOLTAGE),
                    LatchState.LATCHED, "latch_angle")
-    for leg in run.unit.legs:
-        if leg.angle_latch.state is not LatchState.LATCHED:
-            raise _StepFailure("angle latch not engaged", leg=leg.leg_id)
     run.emit("latch_angle", "all angle latches engaged")
 
 

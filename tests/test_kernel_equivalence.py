@@ -9,12 +9,12 @@ exception wherever it raises.
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 from hypothesis import example, given, settings, strategies as st
 
 from lammos import defaults
 from lammos.latch import (
-    CurrentTrace,
     Direction,
     DriveCommand,
     LatchEvent,
@@ -131,40 +131,42 @@ def ref_step(fsm, cmd, dt):
     return replace(fsm, screw_tip_position=pos), None
 
 
-def _ref_fold(fsm, cmd, dt, t, steps, samples, events, stop_state=None):
+def _ref_fold(fsm, cmd, dt, t0, steps, samples, events, stop_state=None):
+    """Appends each step's sample and event; after k steps of the whole
+    drive (k = len(samples)) the clock reads t0 + k*dt."""
     for _ in range(steps):
         if fsm.state is stop_state:
             break
         op = ref_drive_sample(fsm, cmd)
         current = op.current if op is not None else 0.0
         fsm, event = ref_step(fsm, cmd, dt)
-        t += dt
+        t = t0 + (len(samples) + 1) * dt
         samples.append(TraceSample(t=t, current=current,
                                    position=fsm.screw_tip_position,
                                    state=fsm.state))
         if event is not None:
             events.append((t, event))
-    return fsm, t
+    return fsm
 
 
 def ref_run_until(fsm, cmd, dt, stop_state, max_duration=120.0, t0=0.0):
     samples, events = [], []
-    fsm, _ = _ref_fold(fsm, cmd, dt, t0, int(round(max_duration / dt)),
-                       samples, events, stop_state)
-    return fsm, CurrentTrace(samples=tuple(samples)), events
+    fsm = _ref_fold(fsm, cmd, dt, t0, int(round(max_duration / dt)),
+                    samples, events, stop_state)
+    return fsm, SimpleNamespace(samples=tuple(samples)), events
 
 
 def ref_run_schedule(fsm, schedule, dt, t0=0.0):
     if dt <= 0:
         raise ValueError("dt must be positive")
     samples, events = [], []
-    t = t0
     for cmd, duration in schedule:
         if duration <= 0:
-            raise ValueError(f"non-positive segment duration at t={t}")
-        fsm, t = _ref_fold(fsm, cmd, dt, t, int(round(duration / dt)),
-                           samples, events)
-    return fsm, CurrentTrace(samples=tuple(samples)), events
+            raise ValueError("non-positive segment duration at "
+                             f"t={t0 + len(samples) * dt}")
+        fsm = _ref_fold(fsm, cmd, dt, t0, int(round(duration / dt)),
+                        samples, events)
+    return fsm, SimpleNamespace(samples=tuple(samples)), events
 
 
 # -- comparison ---------------------------------------------------------------
@@ -268,7 +270,7 @@ class TestStep:
         def wrap(step_fn):
             def run():
                 new, event = step_fn(fsm, cmd, dt)
-                return new, CurrentTrace(samples=()), (
+                return new, SimpleNamespace(samples=()), (
                     [(0.0, event)] if event is not None else [])
             return run
         assert outcome(wrap(step)) == outcome(wrap(ref_step))

@@ -2,14 +2,17 @@
 
 import dataclasses
 import itertools
+import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lammos import defaults
+from lammos import defaults, exo
 from lammos.latch import (
     DRIVE_OFF,
+    MIN_DT,
     Direction,
     DriveCommand,
     LatchFsm,
@@ -19,7 +22,6 @@ from lammos.latch import (
     holds_housed_without_power,
     run_schedule,
     run_until,
-    simulate_trace,
     static_power,
     step,
 )
@@ -93,14 +95,14 @@ class TestStep:
 
 class TestSimulateTrace:
     def test_empty_schedule(self, fsm):
-        trace = simulate_trace(fsm, [], 0.001)
+        trace = run_schedule(fsm, [], 0.001)[1]
         assert trace.samples == ()
 
     def test_full_cycle_state_sequence(self, fsm):
         _, latch_trace, _ = full_latch(fsm)
         latch_time = latch_trace.duration + 0.5
         schedule = [(CW3, latch_time), (CCW6, 30.0)]
-        trace = simulate_trace(fsm, schedule, 0.001)
+        trace = run_schedule(fsm, schedule, 0.001)[1]
         seen = [k for k, _ in itertools.groupby(s.state for s in trace.samples)]
         assert seen == [
             LatchState.ENGAGING_FLEXNUT, LatchState.TRAVERSING,
@@ -109,21 +111,21 @@ class TestSimulateTrace:
         ]
 
     def test_timestamps_strictly_increasing(self, fsm):
-        trace = simulate_trace(fsm, [(CW3, 0.05), (DRIVE_OFF, 0.05)], 0.001)
+        trace = run_schedule(fsm, [(CW3, 0.05), (DRIVE_OFF, 0.05)], 0.001)[1]
         times = [s.t for s in trace.samples]
         assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_determinism_bit_identical(self, fsm):
         schedule = [(CW3, 2.0), (DRIVE_OFF, 0.5), (CW3, 1.0)]
-        a = simulate_trace(fsm, schedule, 0.001)
-        b = simulate_trace(fsm, schedule, 0.001)
+        a = run_schedule(fsm, schedule, 0.001)[1]
+        b = run_schedule(fsm, schedule, 0.001)[1]
         assert a == b
         assert a.to_csv() == b.to_csv()
 
     def test_dt_halving_consistency(self, fsm):
         schedule = [(CW3, 3.0)]
-        coarse = simulate_trace(fsm, schedule, 0.002)
-        fine = simulate_trace(fsm, schedule, 0.001)
+        coarse = run_schedule(fsm, schedule, 0.002)[1]
+        fine = run_schedule(fsm, schedule, 0.001)[1]
         assert coarse.samples[-1].state == fine.samples[-1].state
         max_advance = (fsm.motor.free_speed(3.0) * fsm.screw.thread_pitch
                        * 0.002)
@@ -131,7 +133,7 @@ class TestSimulateTrace:
                    - fine.samples[-1].position) <= max_advance
 
     def test_csv_header_and_digits(self, fsm):
-        trace = simulate_trace(fsm, [(CW3, 0.003)], 0.001)
+        trace = run_schedule(fsm, [(CW3, 0.003)], 0.001)[1]
         lines = trace.to_csv().splitlines()
         assert lines[0] == "t_s,current_A,position_m,state"
         assert len(lines) == 4
@@ -139,7 +141,62 @@ class TestSimulateTrace:
 
     def test_nonpositive_duration_rejected(self, fsm):
         with pytest.raises(ValueError):
-            simulate_trace(fsm, [(CW3, 0.0)], 0.001)
+            run_schedule(fsm, [(CW3, 0.0)], 0.001)[1]
+
+
+class TestTimeBase:
+    def test_clock_counts_steps(self, fsm):
+        # Sample k ends step k + 1; the clock does not accumulate dt.
+        for t0, end in ((0.0, 20.631), (17.5, 17.5 + 20.631)):
+            _, trace, events = run_until(fsm, CW3, 1e-3, LatchState.LATCHED,
+                                         t0=t0)
+            samples = trace.samples
+            assert all(s.t == t0 + (k + 1) * 1e-3
+                       for k, s in enumerate(samples))
+            assert {t for t, _ in events} <= {s.t for s in samples}
+            assert trace.duration == samples[-1].t == events[-1][0] == end
+
+    def test_drive_keeps_columns_not_objects(self, fsm):
+        # Two float columns and one state reference per step, plus the
+        # columns' growth; a frozen sample per step kept about 200 B.
+        tracemalloc.start()
+        try:
+            _, trace, _ = run_until(fsm, CW3, 1e-4, LatchState.LATCHED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(trace.state) <= 48
+
+
+def _short_lock(fsm):
+    """The latch with its travel cut a hundredfold, so that a full drive at
+    MIN_DT takes about 1/100 of the 2e6 steps of the real one."""
+    return dataclasses.replace(
+        fsm, screw_tip_position=-3e-5, housed_rest_position=-3e-5,
+        bracket_thickness=9e-5, tslot_gap=3e-5, tightening_travel=1.25e-5)
+
+
+# Every latch entry point, driven clockwise with one timestep.
+ENTRY_POINTS = {
+    "run_until": lambda fsm, dt: run_until(fsm, CW3, dt, LatchState.LATCHED,
+                                           max_duration=0.01),
+    "run_schedule": lambda fsm, dt: run_schedule(fsm, [(CW3, 0.01)], dt),
+    "step": lambda fsm, dt: step(fsm, CW3, dt),
+    "exo.latch_energy": lambda fsm, dt: exo.latch_energy(
+        exo.ExoJoint(motor=fsm.motor, lock=_short_lock(fsm)), dt),
+}
+
+
+class TestDtRule:
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, 1e-6])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_rejects_bad_timestep(self, fsm, entry, dt):
+        with pytest.raises(ValueError, match="non-positive timestep"):
+            ENTRY_POINTS[entry](fsm, dt)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_accepts_min_dt(self, fsm, entry):
+        assert ENTRY_POINTS[entry](fsm, MIN_DT)
 
 
 class TestHousedStatics:
