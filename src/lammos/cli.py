@@ -186,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sf.add_argument("--plate", default=None,
                       help="plate dimensions l,h,w in meters")
     p_sf.add_argument("--yield", dest="yield_strength", type=float,
-                      default=250e6, help="yield strength in Pa")
+                      default=MaterialSpec().yield_strength,
+                      help="yield strength in Pa")
     p_sf.set_defaults(func=cmd_sf)
 
     p_defaults = sub.add_parser("defaults", help="print all default parameters")

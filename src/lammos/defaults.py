@@ -48,17 +48,8 @@ def default_motor() -> MotorSpec:
     )
 
 
-def default_screw() -> ScrewSpec:
-    return ScrewSpec()
-
-
-def default_spring() -> SpringSpec:
-    return SpringSpec()
-
-
 def default_latch_fsm() -> LatchFsm:
-    return LatchFsm(motor=default_motor(), screw=default_screw(),
-                    spring=default_spring())
+    return LatchFsm(motor=default_motor(), screw=ScrewSpec(), spring=SpringSpec())
 
 
 # Wheeled-leg / maintenance-unit geometry anchors.
@@ -73,8 +64,6 @@ LOWERING_ANGLE = math.radians(20.0)  # assumed; clearance anchor is stored
 BODY_RADIUS = 0.380                  # m
 RETRACTED_CONTACT_RADIUS = 0.380     # m, wheel contact at zero extension
 EXTEND_TRAVEL = 0.150                # m, linear-slide travel (assumed)
-
-DEFAULT_ANGLE_BRACKET = BRACKET_80X80
 
 EXO_STANDBY_POWER = 0.1  # W, locked-joint electronics idle (assumed)
 
@@ -122,6 +111,7 @@ def defaults_as_dict() -> dict:
             "clamp_torque_Nm (assumed)": latch.clamp_torque,
             "breakaway_factor (assumed)": latch.breakaway_factor,
             "housed_rest_position_m (assumed)": latch.housed_rest_position,
+            "tightening_travel_m (assumed)": latch.tightening_travel,
             "latch_voltage_V": LATCH_VOLTAGE,
             "unlatch_voltage_V": UNLATCH_VOLTAGE,
             "dt_s": DEFAULT_DT,

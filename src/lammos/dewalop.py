@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from . import defaults
 from .latch import LatchFsm, LatchState
 from .mechlib import (
-    BracketSpec,
     MaterialSpec,
     PlateSpec,
     check_tslot_holding,
@@ -67,7 +66,6 @@ class WheeledLeg:
     extend_actuator_max_load: float = defaults.EXTEND_ACTUATOR_MAX_LOAD
     extend_travel: float = defaults.EXTEND_TRAVEL
     lower_actuator: bool = True
-    angle_bracket: BracketSpec = defaults.DEFAULT_ANGLE_BRACKET
 
     def __post_init__(self):
         if self.ring not in ("top", "bottom"):
@@ -83,7 +81,6 @@ class WheeledLeg:
 @dataclass(frozen=True)
 class MaintenanceUnit:
     legs: tuple[WheeledLeg, ...]
-    body_radius: float = defaults.BODY_RADIUS
     retracted_contact_radius: float = defaults.RETRACTED_CONTACT_RADIUS
     lowering_angle: float = defaults.LOWERING_ANGLE
     lowered_clearance_at_800: float = defaults.LOWERED_CLEARANCE_AT_800

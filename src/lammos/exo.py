@@ -25,6 +25,8 @@ from .mechlib import (
     PlateSpec,
     SafetyResult,
     csv_number,
+    line_point,
+    motor_line,
     plate_bending_safety_factor,
 )
 
@@ -73,14 +75,6 @@ class LoadTimeline:
             raise ValueError("timeline must start at t=0 and end after its "
                              "last point")
 
-    @classmethod
-    def from_csv(cls, text: str, end_time: float) -> "LoadTimeline":
-        points = []
-        for line in text.strip().splitlines()[1:]:  # skip t_s,load_Nm header
-            t_s, load = line.split(",")
-            points.append((float(t_s), float(load)))
-        return cls(points=tuple(points), end_time=end_time)
-
     def segments(self):
         """Yield (start, end, load) covering [0, end_time]."""
         for (t0, load), (t1, _) in zip(self.points, self.points[1:]):
@@ -90,17 +84,15 @@ class LoadTimeline:
 
 def hold_power(joint: ExoJoint) -> float:
     """Electrical power to hold the joint's static load."""
-    stall = joint.motor.stall_torque(joint.supply_voltage)
+    line = motor_line(joint.motor, joint.supply_voltage)
+    stall = line[0]
     if joint.load_torque >= stall:
         raise UnholdableLoadError(
             f"load {joint.load_torque:.4f} N*m exceeds stall {stall:.4f} N*m "
             f"at {joint.supply_voltage} V")
     if joint.locked:
         return joint.standby_power
-    i_stall = joint.motor.stall_current(joint.supply_voltage)
-    fraction = joint.load_torque / stall
-    current = (joint.motor.no_load_current
-               + (i_stall - joint.motor.no_load_current) * fraction)
+    _, current = line_point(joint.motor, line, joint.load_torque)
     return joint.supply_voltage * current
 
 

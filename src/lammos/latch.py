@@ -323,6 +323,17 @@ def run_until(fsm: LatchFsm, cmd: DriveCommand, dt: float,
                   stop_state)
 
 
+def can_latch(fsm: LatchFsm, voltage: float) -> bool:
+    """True iff a clockwise drive at ``voltage`` can reach Latched: the
+    kernel's Tightening comparison at full ramp, where the current peaks.
+    Raises VoltageRangeError outside the motor's characterized range."""
+    line = motor_line(fsm.motor, voltage)
+    friction = fsm.flexnut_friction_torque
+    _, current = line_point(fsm.motor, line,
+                            friction + (fsm.clamp_torque - friction) * 1.0)
+    return current >= fsm.tightening_current_threshold * line[2]
+
+
 def holds_housed_without_power(fsm: LatchFsm) -> bool:
     """True iff flexnut friction beats the spring-induced back-drive torque."""
     if fsm.state is not LatchState.HOUSED:

@@ -273,35 +273,29 @@ def check_tslot_holding(force: float) -> LoadVerdict:
 
 @dataclass(frozen=True)
 class PlateSpec:
-    """Rectangular plate loaded as a cantilever in bending."""
+    """Rectangular plate loaded as a cantilever, bent about its thickness."""
 
     length: float = 0.116
     height: float = 0.040
     thickness: float = 0.009
-    bending_axis: str = "about-thickness"
 
     def __post_init__(self):
-        if min(self.length, self.height, self.thickness) <= 0:
-            raise ValueError("plate dimensions must be positive")
-        if self.bending_axis not in ("about-thickness", "about-height"):
-            raise ValueError(f"unknown bending axis {self.bending_axis!r}")
+        if not all(0 < x < math.inf
+                   for x in (self.length, self.height, self.thickness)):
+            raise ValueError("plate dimensions must be finite and positive")
 
     @property
     def section_modulus(self) -> float:
-        if self.bending_axis == "about-thickness":
-            return self.thickness * self.height ** 2 / 6.0
-        return self.height * self.thickness ** 2 / 6.0
+        return self.thickness * self.height ** 2 / 6.0
 
 
 @dataclass(frozen=True)
 class MaterialSpec:
-    name: str = "mild steel"
-    yield_strength: float = 250e6  # Pa
-    shear_modulus: float = 79.3e9  # Pa
+    yield_strength: float = 250e6  # Pa, mild steel
 
     def __post_init__(self):
-        if self.yield_strength <= 0:
-            raise ValueError("yield strength must be positive")
+        if not (0 < self.yield_strength < math.inf):
+            raise ValueError("yield strength must be finite and positive")
 
 
 @dataclass(frozen=True)

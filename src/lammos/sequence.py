@@ -33,6 +33,7 @@ from .latch import (
     DriveCommand,
     LatchFsm,
     LatchState,
+    can_latch,
     check_dt,
     run_until,
 )
@@ -46,7 +47,7 @@ ACTIONS = (
 
 # Wall-clock allotted to purely mechanical (non-latch) actions in the log.
 MECHANICAL_ACTION_DURATION = 1.0  # s
-_LATCH_MOTOR = defaults.default_motor()  # of every latch in default_unit()
+_LATCH = defaults.default_latch_fsm()  # every latch of default_unit()
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,12 @@ class StepSpec:
         if angle is not None and not (0 < angle < 90):
             raise ValueError(f"lowering angle {angle} deg out of (0, 90)")
         if "voltage_V" in self.parameters:
+            voltage = self.parameters["voltage_V"]
             # Raises VoltageRangeError outside the motor's characterized range.
-            _LATCH_MOTOR.stall_torque(self.parameters["voltage_V"])
+            latches = can_latch(_LATCH, voltage)
+            if self.action in ("latch_angle", "latch_flat") and not latches:
+                raise ValueError(f"{self.action} at {voltage} V never latches: "
+                                 "the tightening current stays below threshold")
 
 
 def _check_name_and_dt(name: str, dt: float) -> None:

@@ -1,6 +1,7 @@
 import pytest
 
 from lammos import defaults
+from lammos.mechlib import ScrewSpec, SpringSpec
 
 
 @pytest.fixture
@@ -10,12 +11,12 @@ def motor():
 
 @pytest.fixture
 def screw():
-    return defaults.default_screw()
+    return ScrewSpec()
 
 
 @pytest.fixture
 def spring():
-    return defaults.default_spring()
+    return SpringSpec()
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
 """CLI contract tests: subcommands, exit codes, reproducible artifacts."""
 
 import copy
+import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lammos.cli import main
+from lammos.latch import LatchFsm
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -63,6 +66,8 @@ MALFORMED = {
     "bad_steps_type": ("check", _with(MECHANICAL, "lower_legs", "steps"), ()),
     "bad_step_voltage": ("run", _with(LATCHING, 7.0, "steps", 3,
                                       "voltage_V"), ()),
+    "unlatchable_voltage": ("run", _with(LATCHING, 3.5, "steps", 3,
+                                         "voltage_V"), ()),
     "bad_exo_dt": ("run", {**EXO, "dt_s": -0.001, "lock_at_s": 0.0}, ()),
     "bad_dt_zero": ("run", MECHANICAL, ("--dt", "0")),
     "bad_dt_nan": ("run", MECHANICAL, ("--dt", "nan")),
@@ -150,6 +155,14 @@ class TestCheck:
         code = run_cli("check", str(SCENARIOS / "pipe_out_of_range.json"))
         assert code == 1
         assert "pipe out of operating range" in capsys.readouterr().out
+
+    def test_voltage_that_never_latches(self, tmp_path, capsys):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(MALFORMED["unlatchable_voltage"][1]))
+        assert run_cli("check", str(doc_path)) == 1
+        assert capsys.readouterr().out == (
+            "step 4: latch_angle at 3.5 V never latches: the tightening "
+            "current stays below threshold\n")
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -257,6 +270,13 @@ class TestSf:
         assert run_cli("sf", "--load", "1000", load) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("flag", [
+        ("--yield", "nan"), ("--yield", "inf"),
+        ("--plate", "nan,0.04,0.009"), ("--plate", "0.116,inf,0.009")])
+    def test_non_finite_plate_or_yield_exits_two(self, flag, capsys):
+        assert run_cli("sf", "--load", "1000", *flag) == 2
+        assert capsys.readouterr().out == ""
+
     def test_subnormal_load_is_unboundedly_safe(self, capsys):
         assert run_cli("sf", "--load", "5e-324") == 0
         row = capsys.readouterr().out.splitlines()[1]
@@ -277,3 +297,14 @@ class TestDefaults:
         assert doc["motor"]["stall_torque_gcm_3V"] == 2884.0
         assert doc["structure"]["tslot_max_force_N"] == 5000.0
         assert any("assumed" in key for key in doc["latch"])
+
+    def test_lists_every_latch_parameter(self, capsys):
+        assert run_cli("defaults") == 0
+        names = [key.split(" ")[0]
+                 for key in json.loads(capsys.readouterr().out)["latch"]]
+        snapshot = {"motor", "screw", "spring", "state", "screw_tip_position"}
+        missing = [f.name for f in dataclasses.fields(LatchFsm)
+                   if f.name not in snapshot
+                   and not any(re.fullmatch(f.name + "(_m|_Nm)?", name)
+                               for name in names)]
+        assert missing == []

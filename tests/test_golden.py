@@ -3,8 +3,8 @@
 The digests were recorded on the per-step latch engine, before the drive
 loop was fused into one kernel; the three robot ``_report.txt`` digests
 were re-recorded when the report lost its ``seed:`` line (the ``--seed``
-option was removed), and the ``lammos defaults`` digest was recorded before
-``defaults_as_dict`` was derived from the dataclass defaults. Any change to
+option was removed), and the ``lammos defaults`` digest was re-recorded
+when it gained the one line ``tightening_travel_m (assumed)``. Any change to
 a verdict, an event log, a trace digit, a report line, a comparison value
 or a default shows up here.
 
@@ -104,7 +104,7 @@ GOLDEN = {
     "defaults": {
         "exit": 0,
         "stdout":
-            "75ec4b27398314a6808ce0f339826f0a5cb3337518925467ff8ba8e19213aae5",
+            "4c74e2aa63d6abdbafcf2d01fb1d89e5f2c9f27180a27f5754dc71269c417698",
         "stderr":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },

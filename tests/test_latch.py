@@ -19,6 +19,7 @@ from lammos.latch import (
     LatchState,
     LatchStateError,
     LEGAL_EDGES,
+    can_latch,
     holds_housed_without_power,
     run_schedule,
     run_until,
@@ -274,6 +275,12 @@ class TestProperties:
                     if s.state is LatchState.TIGHTENING]
         assert len(currents) > 2
         assert all(b >= a for a, b in zip(currents, currents[1:]))
+
+    @pytest.mark.parametrize("voltage", [3.0, 3.40, 3.41, 3.42, 3.43, 3.5, 6.0])
+    def test_can_latch_matches_drive(self, fsm, voltage):
+        cmd = DriveCommand(voltage, Direction.CLOCKWISE)
+        final, _, _ = run_until(fsm, cmd, 0.005, LatchState.LATCHED)
+        assert can_latch(fsm, voltage) is (final.state is LatchState.LATCHED)
 
     def test_single_motor_suffices(self, fsm):
         # The whole latch cycle is driven by the one MotorSpec the FSM holds.
