@@ -4,7 +4,8 @@ Six wheeled-legs in two rings of three at 120 degrees. Top-ring legs can
 be lowered about their hinge for pipe insertion; every leg carries a
 motorized-screw latch at the right-angle bracket (hinge lock) and another
 at the flat bracket (leg-to-base stiffening). All values are immutable
-snapshots; operations return new snapshots.
+snapshots; operations return new snapshots. The constants every leg shares
+(gas spring, slide actuator, lowering angle) are read from ``defaults``.
 """
 
 from __future__ import annotations
@@ -49,12 +50,6 @@ class PipeEnvironment:
 
 
 @dataclass(frozen=True)
-class GasSpring:
-    preload: float = defaults.GAS_SPRING_PRELOAD            # N
-    max_compression: float = defaults.GAS_SPRING_MAX_COMPRESSION  # m
-
-
-@dataclass(frozen=True)
 class WheeledLeg:
     ring: str                 # "top" | "bottom"
     azimuth_deg: float        # 0 | 120 | 240 within the ring
@@ -62,10 +57,6 @@ class WheeledLeg:
     flat_latch: LatchFsm
     hinge_angle: float = 0.0  # rad, 0 = perpendicular to the unit axis
     extension: float = 0.0    # m of linear-slide travel
-    gas_spring: GasSpring = GasSpring()
-    extend_actuator_max_load: float = defaults.EXTEND_ACTUATOR_MAX_LOAD
-    extend_travel: float = defaults.EXTEND_TRAVEL
-    lower_actuator: bool = True
 
     def __post_init__(self):
         if self.ring not in ("top", "bottom"):
@@ -82,8 +73,6 @@ class WheeledLeg:
 class MaintenanceUnit:
     legs: tuple[WheeledLeg, ...]
     retracted_contact_radius: float = defaults.RETRACTED_CONTACT_RADIUS
-    lowering_angle: float = defaults.LOWERING_ANGLE
-    lowered_clearance_at_800: float = defaults.LOWERED_CLEARANCE_AT_800
     raised_clearance_at_800: float = defaults.RAISED_CLEARANCE_AT_800
     in_pipe: bool = False
     centered: bool = False
@@ -114,7 +103,6 @@ def default_unit() -> MaintenanceUnit:
             legs.append(WheeledLeg(
                 ring=ring, azimuth_deg=az, angle_latch=fsm, flat_latch=fsm,
                 hinge_angle=defaults.LOWERING_ANGLE if ring == "top" else 0.0,
-                lower_actuator=(ring == "top"),
             ))
     return MaintenanceUnit(legs=tuple(legs))
 
@@ -127,7 +115,7 @@ def insertion_clearance(unit: MaintenanceUnit, pipe: PipeEnvironment,
     diameter difference. Negative clearance means interference to be taken
     up by gas-spring compression.
     """
-    base = (unit.lowered_clearance_at_800 if top_legs_lowered
+    base = (defaults.LOWERED_CLEARANCE_AT_800 if top_legs_lowered
             else unit.raised_clearance_at_800)
     return base + (pipe.inner_diameter - defaults.PIPE_DIAMETER_MIN) / 2.0
 
@@ -138,20 +126,19 @@ def insertion_force_required(unit: MaintenanceUnit, pipe: PipeEnvironment,
     clearance = insertion_clearance(unit, pipe, top_legs_lowered)
     if clearance >= 0:
         return 0.0
-    max_comp = max(l.gas_spring.max_compression for l in unit.ring_legs("top"))
-    if -clearance > max_comp:
+    if -clearance > defaults.GAS_SPRING_MAX_COMPRESSION:
         raise InsertionError(
             f"interference {-clearance:.3f} m exceeds gas-spring stroke "
-            f"{max_comp:.3f} m: cannot insert"
+            f"{defaults.GAS_SPRING_MAX_COMPRESSION:.3f} m: cannot insert"
         )
-    return max(l.gas_spring.preload for l in unit.ring_legs("top"))
+    return defaults.GAS_SPRING_PRELOAD
 
 
 def lower_leg(leg: WheeledLeg, target_angle: float) -> WheeledLeg:
     """Rotate the leg about its base hinge (pure rotation at the joint)."""
     if leg.angle_latch.state is not LatchState.HOUSED:
         raise LegStateError(f"angle latch engaged on leg {leg.leg_id}")
-    if not leg.lower_actuator:
+    if leg.ring != "top":
         raise LegStateError(f"leg {leg.leg_id} has no lowering actuator")
     return replace(leg, hinge_angle=target_angle)
 
@@ -168,15 +155,13 @@ def wall_press(unit: MaintenanceUnit, pipe: PipeEnvironment) -> MaintenanceUnit:
         if leg.flat_latch.state is LatchState.LATCHED:
             raise LegStateError(f"leg {leg.leg_id} extension frozen by flat latch")
     required = pipe.inner_radius - unit.retracted_contact_radius
-    new_unit = unit
-    for leg in unit.legs:
-        if not (0.0 <= required <= leg.extend_travel):
-            raise LegStateError(
-                f"required extension {required:.3f} m outside actuator travel "
-                f"of leg {leg.leg_id}"
-            )
-        new_unit = new_unit.with_leg(replace(leg, extension=required))
-    return replace(new_unit, centered=True)
+    if not (0.0 <= required <= defaults.EXTEND_TRAVEL):
+        raise LegStateError(
+            f"required extension {required:.3f} m outside actuator travel "
+            f"of leg {unit.legs[0].leg_id}"
+        )
+    legs = tuple(replace(leg, extension=required) for leg in unit.legs)
+    return replace(unit, legs=legs, centered=True)
 
 
 @dataclass(frozen=True)
@@ -217,7 +202,7 @@ def leg_load_path(leg: WheeledLeg, external_force: float,
                 failures.append("plate bending failure")
     else:
         actuator, structure = external_force, 0.0
-        if actuator > leg.extend_actuator_max_load:
+        if actuator > defaults.EXTEND_ACTUATOR_MAX_LOAD:
             failures.append("actuator overload")
     return LoadPath(actuator_share=actuator, structure_share=structure,
                     failures=tuple(failures))

@@ -130,15 +130,17 @@ def step(fsm: LatchFsm, cmd: DriveCommand, dt: float):
 
     At most one state transition fires per step; entry transitions
     (Housed->Engaging, Latched->Loosening) consume the step without motion,
-    and positional transitions clamp the tip at the crossed boundary.
+    and positional transitions clamp the tip at the crossed boundary. The
+    step is one step of ``run_until``: wherever it draws current it checks
+    the voltage, raising VoltageRangeError outside the characterized range.
     """
     check_dt(dt)
-    final, _, events = _drive(fsm, ((cmd, 1),), dt, 0.0, sampled=False)
+    final, _, events = _drive(fsm, ((cmd, 1),), dt, 0.0)
     return final, events[0][1] if events else None
 
 
 def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
-           stop_state: Optional[LatchState] = None, sampled: bool = True):
+           stop_state: Optional[LatchState] = None):
     """The fixed-step kernel behind every drive entry point.
 
     Replays (command, step count) segments, stopping on entry to
@@ -146,9 +148,9 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
     rejected when reached. Each step samples the current drawn in the
     pre-step state, then fires at most one transition; after k steps the
     clock reads t0 + k*dt. A segment resolves the motor line on its first
-    step that draws current, so an out-of-range voltage raises only there;
-    unless ``sampled``, the entry transitions (Housed->Engaging,
-    Latched->Loosening) draw none. Returns (final fsm, trace, timed events).
+    step that draws current, entry transitions included, so an
+    out-of-range voltage raises only there. Returns (final fsm, trace,
+    timed events).
     """
     motor = fsm.motor
     pitch = fsm.screw.thread_pitch
@@ -222,13 +224,11 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
                     if clockwise:
                         event = "already-latched"
                     else:
-                        if sampled:
-                            _, sample = point(breakaway)
+                        _, sample = point(breakaway)
                         state, event = LatchState.LOOSENING, "breakaway"
                 elif state is LatchState.HOUSED:
                     if clockwise:
-                        if sampled:
-                            _, sample = point(friction)
+                        _, sample = point(friction)
                         state, event = LatchState.ENGAGING_FLEXNUT, "engaging"
                 elif moves[state][0] is clockwise:
                     _, load, limit, exit_state, exit_event = moves[state]

@@ -70,18 +70,18 @@ class StepSpec:
                                  "the tightening current stays below threshold")
 
 
-def _check_name_and_dt(name: str, dt: float) -> None:
-    """The rules on the name and timestep of every scenario."""
+def _check_name(name: str) -> None:
+    """The rule on the name of every scenario, which names its files."""
     if not (name and name.isprintable() and "/" not in name):
         raise ValueError(f"scenario name {name!r} must be non-empty and "
                          "printable, without '/'")
-    check_dt(dt)
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A procedure for the maintenance unit, from ``default_unit()``."""
+
     name: str
-    robot: MaintenanceUnit
     pipe: PipeEnvironment
     steps: tuple[StepSpec, ...]
     dt: float = defaults.DEFAULT_DT
@@ -89,7 +89,8 @@ class Scenario:
     def __post_init__(self):
         if not self.steps:
             raise ValueError("scenario has no steps")
-        _check_name_and_dt(self.name, self.dt)
+        _check_name(self.name)
+        check_dt(self.dt)
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,8 @@ class ExoScenario:
     dt: float = defaults.DEFAULT_DT
 
     def __post_init__(self):
-        _check_name_and_dt(self.name, self.dt)
+        _check_name(self.name)
+        check_dt(self.dt)
 
 
 @dataclass(frozen=True)
@@ -228,7 +230,7 @@ def _drive_latches(run: _Run, which: str, direction: Direction,
 
 def _do_lower_legs(run: _Run, params: dict):
     angle = (math.radians(params["angle_deg"]) if "angle_deg" in params
-             else run.unit.lowering_angle)
+             else defaults.LOWERING_ANGLE)
     for leg in run.unit.ring_legs("top"):
         try:
             run.unit = run.unit.with_leg(lower_leg(leg, angle))
@@ -350,7 +352,7 @@ _HANDLERS = {
 
 def run_scenario(scenario: Scenario):
     """Execute a scenario. Returns (final unit, event log, verdict, traces)."""
-    run = _Run(scenario=scenario, unit=scenario.robot)
+    run = _Run(scenario=scenario, unit=default_unit())
     run.emit("scenario", f"start {scenario.name}")
     for index, step in enumerate(scenario.steps):
         before = run.unit
@@ -429,9 +431,10 @@ def parse(raw: Any, dt: Optional[float] = None):
 
     Returns (config, diagnostics, usage). ``usage`` holds the JSON type and
     shape errors, each with its path, and stops the build; ``diagnostics``
-    the domain rules broken, as their constructors word them. ``config``, a
-    Scenario or an ExoScenario, is None unless both are empty. ``dt``
-    overrides the document's ``dt_s``.
+    each domain rule broken, as its constructor words it. The name and dt
+    are checked apart from the other rules, so both are reported alongside
+    them. ``config``, a Scenario or an ExoScenario, is None unless both
+    lists are empty. ``dt`` overrides the document's ``dt_s``.
     """
     kind = raw.get("type", "dewalop") if type(raw) is dict else "dewalop"
     usage = (_shape_errors(raw, _SHAPES[kind], "$") if kind in ("dewalop", "exo")
@@ -440,12 +443,11 @@ def parse(raw: Any, dt: Optional[float] = None):
         return None, [], usage
     dt = raw.get("dt_s", defaults.DEFAULT_DT) if dt is None else dt
     diags: list[str] = []
-    config = None
+    _build(diags, "", _check_name, raw["name"])
+    _build(diags, "", check_dt, dt)
     if kind == "exo":
         from . import exo
-        parts = _build(diags, "", exo.build_joint, raw)
-        if parts:
-            config = _build(diags, "", ExoScenario, raw["name"], *parts, dt)
+        make, parts = ExoScenario, _build(diags, "", exo.build_joint, raw)
     else:
         pipe = _build(diags, "", PipeEnvironment,
                       raw["pipe"]["inner_diameter_m"])
@@ -453,9 +455,9 @@ def parse(raw: Any, dt: Optional[float] = None):
             _build(diags, f"step {i}: ", StepSpec, step["action"],
                    {k: v for k, v in step.items() if k != "action"})
             for i, step in enumerate(raw["steps"], 1))
-        if not diags:
-            config = _build(diags, "", Scenario, raw["name"], default_unit(),
-                            pipe, steps, dt)
+        make, parts = Scenario, (pipe, steps)
+    config = (None if diags
+              else _build(diags, "", make, raw["name"], *parts, dt))
     return config, diags, []
 
 
@@ -463,44 +465,3 @@ def validate(raw: Any) -> list[str]:
     """Every problem ``parse`` finds in a scenario document."""
     _, diags, usage = parse(raw)
     return usage + diags
-
-
-def canonical_steps() -> list[dict]:
-    """The published five-step insertion/reconfiguration procedure."""
-    return [
-        {"action": "lower_legs"},
-        {"action": "move_into_pipe"},
-        {"action": "raise_legs"},
-        {"action": "latch_angle"},
-        {"action": "extend_legs"},
-        {"action": "latch_flat"},
-    ]
-
-
-def reverse_steps() -> list[dict]:
-    return [
-        {"action": "unlatch_flat"},
-        {"action": "retract_legs"},
-        {"action": "unlatch_angle"},
-        {"action": "lower_legs"},
-        {"action": "exit_pipe"},
-    ]
-
-
-def _procedure(name: str, steps: list[dict], diameter_m: float, dt: float,
-               robot: MaintenanceUnit | None = None) -> Scenario:
-    return Scenario(name=name, robot=robot or default_unit(),
-                    pipe=PipeEnvironment(diameter_m),
-                    steps=tuple(StepSpec(**step) for step in steps), dt=dt)
-
-
-def canonical_scenario(diameter_m: float = 0.800,
-                       dt: float = defaults.DEFAULT_DT) -> Scenario:
-    return _procedure("canonical-insertion", canonical_steps(), diameter_m, dt)
-
-
-def reverse_scenario(diameter_m: float = 0.800,
-                     dt: float = defaults.DEFAULT_DT,
-                     robot: MaintenanceUnit | None = None) -> Scenario:
-    return _procedure("canonical-reverse", reverse_steps(), diameter_m, dt,
-                      robot)

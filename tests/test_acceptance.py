@@ -3,7 +3,9 @@ pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`."""
 
 import dataclasses
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,15 @@ from lammos.mechlib import (
 
 CW3 = DriveCommand(3.0, Direction.CLOCKWISE)
 CCW6 = DriveCommand(6.0, Direction.COUNTERCLOCKWISE)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def run_file(filename: str):
+    """Run a file in ``scenarios/`` through ``parse``, at dt = 0.005 s."""
+    raw = json.loads((SCENARIOS / filename).read_text())
+    scenario, diags, usage = sequence.parse(raw, dt=0.005)
+    assert (diags, usage) == ([], [])
+    return sequence.run_scenario(scenario)
 
 
 def report(criterion: str, ok: bool):
@@ -161,8 +172,7 @@ def test_criterion_5_insertion_numbers():
 
 
 def test_criterion_6_five_step_scenario():
-    scenario = sequence.canonical_scenario(dt=0.005)
-    unit, log, verdict, traces = sequence.run_scenario(scenario)
+    unit, log, verdict, traces = run_file("canonical_800mm.json")
     ok = verdict.passed
     for leg in unit.legs:
         path = leg_load_path(leg, 2000.0)
@@ -177,12 +187,8 @@ def test_criterion_6_five_step_scenario():
 
 
 def test_criterion_7_round_trip():
-    initial = default_unit()
-    forward = sequence.canonical_scenario(dt=0.005)
-    unit, _, verdict, _ = sequence.run_scenario(forward)
-    reverse = sequence.reverse_scenario(dt=0.005, robot=unit)
-    restored, _, rev_verdict, _ = sequence.run_scenario(reverse)
-    ok = verdict.passed and rev_verdict.passed and restored == initial
+    restored, _, verdict, _ = run_file("roundtrip_800mm.json")
+    ok = verdict.passed and restored == default_unit()
     report("7: forward + reverse restores the exact initial state", ok)
 
 

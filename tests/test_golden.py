@@ -4,7 +4,10 @@ The digests were recorded on the per-step latch engine, before the drive
 loop was fused into one kernel; the three robot ``_report.txt`` digests
 were re-recorded when the report lost its ``seed:`` line (the ``--seed``
 option was removed), and the ``lammos defaults`` digest was re-recorded
-when it gained the one line ``tightening_travel_m (assumed)``. Any change to
+when it gained the one line ``tightening_travel_m (assumed)``. The
+``roundtrip_800mm`` case (the first to pin unlatch artifacts) and the
+``exo_lock_study`` stdout were added later, recorded on the code before
+``latch.step`` lost its second path through the drive kernel. Any change to
 a verdict, an event log, a trace digit, a report line, a comparison value
 or a default shows up here.
 
@@ -32,6 +35,7 @@ CASES = {
     "canonical_800mm_dt0.0005": ("canonical_800mm.json", "--dt", "0.0005"),
     "exo_hold_600s": ("exo_hold_600s.json",),
     "pipe_out_of_range": ("pipe_out_of_range.json",),
+    "roundtrip_800mm": ("roundtrip_800mm.json",),
 }
 
 GOLDEN = {
@@ -92,6 +96,19 @@ GOLDEN = {
         "stderr":
             "952f90aa98e81d03a248b5e94360f73d17e5857489dc960033f49757f91115d2",
     },
+    "roundtrip_800mm": {
+        "exit": 0,
+        "stdout":
+            "20f53996de694cbd957bb087c010210c4e830cdbfb0105aa12490c04e8908a73",
+        "stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "roundtrip-800mm_events.csv":
+            "4bbeda27463796526fab2c8959367b5ed52a6dbb1a14ad31c8a82e44e2643a37",
+        "roundtrip-800mm_report.txt":
+            "8ecedf3c85e36dce537392cfb5e04859912a7a20a79331c62fe8c2ec8cdb165a",
+        "roundtrip-800mm_trace.csv":
+            "d4e3ae28a286ec1e4db0d9a84fcba9d7249c6098005e1feea4fc9488a7900a03",
+    },
     "latch_cycle_trace": {
         "exit": 0,
         "stdout":
@@ -100,6 +117,13 @@ GOLDEN = {
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "latch_cycle_trace.csv":
             "95834b791aad1bf1b369211aef74c82c75e0df14cc0bfaaacbb796908f9258a9",
+    },
+    "exo_lock_study": {
+        "exit": 0,
+        "stdout":
+            "43e8451e68b5f4ca6ded129496e74a3c0632910fc7bf4494a61e9b91714497fc",
+        "stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
     "defaults": {
         "exit": 0,
@@ -140,18 +164,28 @@ def scenario_digests(case: str, out: Path) -> dict:
                                        "--out", str(out), *extra]))
 
 
-def latch_cycle_digests(out: Path) -> dict:
-    script = ROOT / "scripts" / "latch_cycle_trace.py"
+def _script_digests(out: Path, name: str, *args: str) -> dict:
+    """Run ``scripts/<name>`` as ``__main__`` with ``args``."""
+    script = ROOT / "scripts" / name
 
     def run():
         argv = sys.argv
-        sys.argv = [str(script), str(out / "latch_cycle_trace.csv")]
+        sys.argv = [str(script), *args]
         try:
             runpy.run_path(str(script), run_name="__main__")
         finally:
             sys.argv = argv
         return 0
     return _outputs(out, run)
+
+
+def latch_cycle_digests(out: Path) -> dict:
+    return _script_digests(out, "latch_cycle_trace.py",
+                           str(out / "latch_cycle_trace.csv"))
+
+
+def exo_lock_study_digests(out: Path) -> dict:
+    return _script_digests(out, "exo_lock_study.py")
 
 
 def defaults_digests(out: Path) -> dict:
@@ -166,6 +200,8 @@ def all_digests() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         digests["latch_cycle_trace"] = latch_cycle_digests(Path(tmp))
     with tempfile.TemporaryDirectory() as tmp:
+        digests["exo_lock_study"] = exo_lock_study_digests(Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
         digests["defaults"] = defaults_digests(Path(tmp))
     return digests
 
@@ -177,6 +213,10 @@ def test_scenario_artifacts_match_golden(case, tmp_path):
 
 def test_latch_cycle_trace_matches_golden(tmp_path):
     assert latch_cycle_digests(tmp_path) == GOLDEN["latch_cycle_trace"]
+
+
+def test_exo_lock_study_matches_golden(tmp_path):
+    assert exo_lock_study_digests(tmp_path) == GOLDEN["exo_lock_study"]
 
 
 def test_defaults_output_matches_golden(tmp_path):

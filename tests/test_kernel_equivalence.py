@@ -2,15 +2,16 @@
 
 The reference below is the original one-step-at-a-time engine: every step
 re-derives the operating point from the voltage anchors and rebuilds the
-frozen snapshot. ``run_until`` and ``run_schedule`` must reproduce its
-samples, events and final snapshot bit for bit, and raise the same
-exception wherever it raises.
+frozen snapshot. ``run_until``, ``run_schedule`` and ``step`` must
+reproduce its samples, events and final snapshot bit for bit, and raise
+the same exception wherever it raises.
 """
 
 import dataclasses
 import math
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lammos import defaults
@@ -24,7 +25,7 @@ from lammos.latch import (
     run_until,
     step,
 )
-from lammos.mechlib import OperatingPoint
+from lammos.mechlib import OperatingPoint, VoltageRangeError
 
 _LATCHING_STATES = frozenset({
     LatchState.HOUSED, LatchState.ENGAGING_FLEXNUT,
@@ -147,6 +148,13 @@ def _ref_fold(fsm, cmd, dt, t0, steps, samples, events, stop_state=None):
         if event is not None:
             events.append((t, event))
     return fsm
+
+
+def ref_one_step(fsm, cmd, dt):
+    """One step of the reference fold: (new fsm, event or None)."""
+    samples, events = [], []
+    fsm = _ref_fold(fsm, cmd, dt, 0.0, 1, samples, events)
+    return fsm, events[0][1] if events else None
 
 
 def ref_run_until(fsm, cmd, dt, stop_state, max_duration=120.0, t0=0.0):
@@ -273,10 +281,19 @@ class TestStep:
                 return new, SimpleNamespace(samples=()), (
                     [(0.0, event)] if event is not None else [])
             return run
-        assert outcome(wrap(step)) == outcome(wrap(ref_step))
+        assert outcome(wrap(step)) == outcome(wrap(ref_one_step))
 
     def test_idle_step_returns_the_same_snapshot(self):
         assert step(FSM, DriveCommand(0.0, Direction.OFF), 1e-3)[0] is FSM
+
+    def test_entry_transitions_check_the_voltage(self):
+        # The entry step draws current, so it checks the voltage as
+        # run_until does.
+        for fsm, cmd in ((FSM, DriveCommand(7.0, Direction.CLOCKWISE)),
+                         (LATCHED, DriveCommand(9.0,
+                                                Direction.COUNTERCLOCKWISE))):
+            with pytest.raises(VoltageRangeError):
+                step(fsm, cmd, 1e-3)
 
 
 def test_no_voltage_check_where_no_current_is_drawn():

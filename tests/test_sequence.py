@@ -1,35 +1,46 @@
 """Scenario engine tests: canonical procedure, ordering, abort, round trip."""
 
-import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
-from lammos import sequence
-from lammos.dewalop import default_unit, leg_load_path
+from lammos.dewalop import PipeEnvironment, default_unit, leg_load_path
 from lammos.latch import LatchState
 from lammos.sequence import (
     Scenario,
     StepSpec,
-    canonical_scenario,
     parse,
-    reverse_scenario,
     run_scenario,
     snapshot_hash,
     validate,
 )
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
 # Coarser timestep keeps full-procedure runs fast; behavior is dt-robust.
 FAST_DT = 0.005
 
 
-def build_scenario(raw):
-    scenario, diags, usage = parse(raw)
+def read_doc(filename):
+    return json.loads((SCENARIOS / filename).read_text())
+
+
+CANONICAL_STEPS = read_doc("canonical_800mm.json")["steps"]
+
+
+def build_scenario(raw, dt=None):
+    scenario, diags, usage = parse(raw, dt)
     assert (diags, usage) == ([], [])
     return scenario
 
 
-def run_canonical(dt=FAST_DT):
-    return run_scenario(canonical_scenario(dt=dt))
+def run_file(filename, dt=FAST_DT):
+    return run_scenario(build_scenario(read_doc(filename), dt))
+
+
+def run_canonical():
+    return run_file("canonical_800mm.json")
 
 
 class TestCanonicalScenario:
@@ -118,18 +129,13 @@ class TestOrderingAndAbort:
 class TestRoundTrip:
     def test_forward_then_reverse_restores_initial_state(self):
         initial = default_unit()
-        unit, _, verdict, _ = run_canonical()
+        restored, _, verdict, _ = run_file("roundtrip_800mm.json")
         assert verdict.passed
-        rev = reverse_scenario(dt=FAST_DT, robot=unit)
-        restored, _, rev_verdict, _ = run_scenario(rev)
-        assert rev_verdict.passed
         assert restored == initial
         assert snapshot_hash(restored) == snapshot_hash(initial)
 
     def test_reverse_final_posture(self):
-        unit, _, _, _ = run_canonical()
-        restored, _, verdict, _ = run_scenario(
-            reverse_scenario(dt=FAST_DT, robot=unit))
+        restored, _, verdict, _ = run_file("roundtrip_800mm.json")
         assert verdict.passed
         assert not restored.in_pipe
         for leg in restored.ring_legs("top"):
@@ -152,7 +158,7 @@ class TestValidate:
         diags = validate({
             "name": "ok", "type": "dewalop",
             "pipe": {"inner_diameter_m": 0.800}, "dt_s": 0.001,
-            "steps": sequence.canonical_steps(),
+            "steps": CANONICAL_STEPS,
         })
         assert diags == []
 
@@ -160,7 +166,7 @@ class TestValidate:
         diags = validate({
             "name": "wide", "type": "dewalop",
             "pipe": {"inner_diameter_m": 1.200},
-            "steps": sequence.canonical_steps(),
+            "steps": CANONICAL_STEPS,
         })
         assert any("pipe out of operating range" in d for d in diags)
 
@@ -168,9 +174,29 @@ class TestValidate:
         diags = validate({
             "name": "frozen", "type": "dewalop",
             "pipe": {"inner_diameter_m": 0.800}, "dt_s": 0,
-            "steps": sequence.canonical_steps(),
+            "steps": CANONICAL_STEPS,
         })
         assert any("non-positive timestep" in d for d in diags)
+
+    def test_name_and_dt_reported_with_the_pipe(self):
+        diags = validate({**read_doc("pipe_out_of_range.json"),
+                          "name": "../x", "dt_s": 0})
+        assert diags == [
+            "scenario name '../x' must be non-empty and printable, "
+            "without '/'",
+            "non-positive timestep: dt 0 s must be finite and at least "
+            "1e-05 s",
+            "pipe out of operating range: 1.2 m not in [0.8, 1.0] m",
+        ]
+
+    def test_name_reported_with_the_exo_voltage(self):
+        diags = validate({**read_doc("exo_hold_600s.json"),
+                          "name": "a/b", "supply_voltage_V": 7.0})
+        assert diags == [
+            "scenario name 'a/b' must be non-empty and printable, "
+            "without '/'",
+            "voltage 7.0 V outside characterized range [3.0, 6.0] V",
+        ]
 
     def test_unknown_action(self):
         diags = validate({
@@ -195,9 +221,7 @@ class TestScenarioTypes:
 
     def test_scenario_requires_steps(self):
         with pytest.raises(ValueError):
-            canonical = canonical_scenario()
-            Scenario(name="x", robot=canonical.robot, pipe=canonical.pipe,
-                     steps=())
+            Scenario(name="x", pipe=PipeEnvironment(0.800), steps=())
 
     def test_manual_push_path_requires_acknowledgement(self):
         base = {
