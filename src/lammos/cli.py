@@ -134,9 +134,7 @@ def cmd_check(args) -> int:
 
 def cmd_sf(args) -> int:
     if any(not (0 < load < math.inf) for load in args.load):
-        print("error: loads must be finite and strictly positive",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("loads must be finite and strictly positive")
     try:
         if args.plate:
             l, h, w = (float(x) for x in args.plate.split(","))
@@ -145,8 +143,7 @@ def cmd_sf(args) -> int:
             plate = PlateSpec()
         material = MaterialSpec(yield_strength=args.yield_strength)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(exc)
     print("load_N,stress_Pa,safety_factor")
     for load in args.load:
         result = plate_bending_safety_factor(plate, material, load, plate.length)

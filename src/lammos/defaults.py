@@ -16,7 +16,6 @@ from .mechlib import (
     MaterialSpec, MotorSpec, PlateSpec, ScrewSpec, SpringSpec,
     gram_cm_to_newton_m,
 )
-from .latch import LatchFsm
 
 # Catalog stall torques at the two characterized voltages.
 STALL_TORQUE_GCM_3V = 2884.0
@@ -34,22 +33,38 @@ UNLATCH_VOLTAGE = 6.0  # counterclockwise, overcoming breakaway
 
 DEFAULT_DT = 0.001  # s
 
+# The one latch mechanism, shared by every leg latch and the exo joint lock.
+# ``latch`` reads these when it runs; a LatchFsm holds only the state.
+MOTOR = MotorSpec(
+    gear_ratio=298.0,
+    stall_torque_points=(
+        (3.0, gram_cm_to_newton_m(STALL_TORQUE_GCM_3V)),
+        (6.0, gram_cm_to_newton_m(STALL_TORQUE_GCM_6V)),
+    ),
+    free_speed_points=((3.0, FREE_SPEED_REVS_3V), (6.0, FREE_SPEED_REVS_6V)),
+    stall_current_points=((3.0, STALL_CURRENT_A_3V), (6.0, STALL_CURRENT_A_6V)),
+    no_load_current=NO_LOAD_CURRENT_A,
+)
+SCREW = ScrewSpec()
+SPRING = SpringSpec()
+FLEXNUT_FRICTION_TORQUE = 0.02      # N*m
+BRACKET_THICKNESS = 0.009           # m
+TSLOT_GAP = 0.003                   # m, bracket underside to nut face
+TIGHTENING_CURRENT_THRESHOLD = 0.9  # fraction of stall current
+CLAMP_TORQUE = 0.26                 # N*m at full engagement
+BREAKAWAY_FACTOR = 1.15             # unscrew breakaway vs clamp torque
+HOUSED_REST_POSITION = -0.003       # m, spring-seated tip position
+TIGHTENING_TRAVEL = 0.00125         # m of torque ramp past the nut face
+
 
 def default_motor() -> MotorSpec:
-    return MotorSpec(
-        gear_ratio=298.0,
-        stall_torque_points=(
-            (3.0, gram_cm_to_newton_m(STALL_TORQUE_GCM_3V)),
-            (6.0, gram_cm_to_newton_m(STALL_TORQUE_GCM_6V)),
-        ),
-        free_speed_points=((3.0, FREE_SPEED_REVS_3V), (6.0, FREE_SPEED_REVS_6V)),
-        stall_current_points=((3.0, STALL_CURRENT_A_3V), (6.0, STALL_CURRENT_A_6V)),
-        no_load_current=NO_LOAD_CURRENT_A,
-    )
+    return MOTOR
 
 
-def default_latch_fsm() -> LatchFsm:
-    return LatchFsm(motor=default_motor(), screw=ScrewSpec(), spring=SpringSpec())
+def default_latch_fsm():
+    """The housed latch."""
+    from .latch import LatchFsm
+    return LatchFsm()
 
 
 # Wheeled-leg / maintenance-unit geometry anchors.
@@ -73,11 +88,10 @@ def defaults_as_dict() -> dict:
 
     Every value is read from the constant or dataclass default it documents.
     """
-    latch, plate = default_latch_fsm(), PlateSpec()
-    screw, spring = latch.screw, latch.spring
+    plate = PlateSpec()
     return {
         "motor": {
-            "gear_ratio": latch.motor.gear_ratio,
+            "gear_ratio": MOTOR.gear_ratio,
             "stall_torque_gcm_3V": STALL_TORQUE_GCM_3V,
             "stall_torque_gcm_6V": STALL_TORQUE_GCM_6V,
             "free_speed_revs_3V (assumed)": FREE_SPEED_REVS_3V,
@@ -87,31 +101,31 @@ def defaults_as_dict() -> dict:
             "no_load_current_A (assumed)": NO_LOAD_CURRENT_A,
         },
         "screw": {
-            "nominal_diameter_m": screw.nominal_diameter,
-            "thread_pitch_m (assumed: M8 coarse)": screw.thread_pitch,
-            "length_m": screw.length,
+            "nominal_diameter_m": SCREW.nominal_diameter,
+            "thread_pitch_m (assumed: M8 coarse)": SCREW.thread_pitch,
+            "length_m": SCREW.length,
             "thread_friction_coefficient (assumed)":
-                screw.thread_friction_coefficient,
+                SCREW.thread_friction_coefficient,
         },
         "spring": {
-            "free_length_m": spring.free_length,
-            "outer_width_m": spring.outer_width,
-            "wire_diameter_m": spring.wire_diameter,
-            "active_coils": spring.active_coils,
-            "shear_modulus_Pa (assumed: stainless)": spring.shear_modulus,
-            "max_load_N": spring.max_load,
-            "mass_kg": spring.mass,
+            "free_length_m": SPRING.free_length,
+            "outer_width_m": SPRING.outer_width,
+            "wire_diameter_m": SPRING.wire_diameter,
+            "active_coils": SPRING.active_coils,
+            "shear_modulus_Pa (assumed: stainless)": SPRING.shear_modulus,
+            "max_load_N": SPRING.max_load,
+            "mass_kg": SPRING.mass,
         },
         "latch": {
-            "flexnut_friction_torque_Nm (assumed)": latch.flexnut_friction_torque,
-            "bracket_thickness_m": latch.bracket_thickness,
-            "tslot_gap_m (assumed)": latch.tslot_gap,
+            "flexnut_friction_torque_Nm (assumed)": FLEXNUT_FRICTION_TORQUE,
+            "bracket_thickness_m": BRACKET_THICKNESS,
+            "tslot_gap_m (assumed)": TSLOT_GAP,
             "tightening_current_threshold (assumed)":
-                latch.tightening_current_threshold,
-            "clamp_torque_Nm (assumed)": latch.clamp_torque,
-            "breakaway_factor (assumed)": latch.breakaway_factor,
-            "housed_rest_position_m (assumed)": latch.housed_rest_position,
-            "tightening_travel_m (assumed)": latch.tightening_travel,
+                TIGHTENING_CURRENT_THRESHOLD,
+            "clamp_torque_Nm (assumed)": CLAMP_TORQUE,
+            "breakaway_factor (assumed)": BREAKAWAY_FACTOR,
+            "housed_rest_position_m (assumed)": HOUSED_REST_POSITION,
+            "tightening_travel_m (assumed)": TIGHTENING_TRAVEL,
             "latch_voltage_V": LATCH_VOLTAGE,
             "unlatch_voltage_V": UNLATCH_VOLTAGE,
             "dt_s": DEFAULT_DT,

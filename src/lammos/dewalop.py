@@ -4,8 +4,9 @@ Six wheeled-legs in two rings of three at 120 degrees. Top-ring legs can
 be lowered about their hinge for pipe insertion; every leg carries a
 motorized-screw latch at the right-angle bracket (hinge lock) and another
 at the flat bracket (leg-to-base stiffening). All values are immutable
-snapshots; operations return new snapshots. The constants every leg shares
-(gas spring, slide actuator, lowering angle) are read from ``defaults``.
+snapshots; operations return new snapshots. The robot's constants (gas
+spring, slide actuator, lowering angle, contact radius, clearances) are read
+from ``defaults``.
 """
 
 from __future__ import annotations
@@ -72,8 +73,6 @@ class WheeledLeg:
 @dataclass(frozen=True)
 class MaintenanceUnit:
     legs: tuple[WheeledLeg, ...]
-    retracted_contact_radius: float = defaults.RETRACTED_CONTACT_RADIUS
-    raised_clearance_at_800: float = defaults.RAISED_CLEARANCE_AT_800
     in_pipe: bool = False
     centered: bool = False
 
@@ -116,7 +115,7 @@ def insertion_clearance(unit: MaintenanceUnit, pipe: PipeEnvironment,
     up by gas-spring compression.
     """
     base = (defaults.LOWERED_CLEARANCE_AT_800 if top_legs_lowered
-            else unit.raised_clearance_at_800)
+            else defaults.RAISED_CLEARANCE_AT_800)
     return base + (pipe.inner_diameter - defaults.PIPE_DIAMETER_MIN) / 2.0
 
 
@@ -154,7 +153,7 @@ def wall_press(unit: MaintenanceUnit, pipe: PipeEnvironment) -> MaintenanceUnit:
             raise LegStateError(f"leg {leg.leg_id} is lowered; raise before pressing")
         if leg.flat_latch.state is LatchState.LATCHED:
             raise LegStateError(f"leg {leg.leg_id} extension frozen by flat latch")
-    required = pipe.inner_radius - unit.retracted_contact_radius
+    required = pipe.inner_radius - defaults.RETRACTED_CONTACT_RADIUS
     if not (0.0 <= required <= defaults.EXTEND_TRAVEL):
         raise LegStateError(
             f"required extension {required:.3f} m outside actuator travel "

@@ -153,8 +153,7 @@ def check_lock_at(lock_at: Optional[float], timeline: LoadTimeline) -> None:
 def _housed(lock: LatchFsm) -> LatchFsm:
     if lock.state is LatchState.HOUSED:
         return lock
-    return replace(lock, state=LatchState.HOUSED,
-                   screw_tip_position=lock.housed_rest_position)
+    return LatchFsm(LatchState.HOUSED, defaults.HOUSED_REST_POSITION)
 
 
 def auto_lock_decision(joint: ExoJoint, power_now: float,

@@ -6,6 +6,7 @@ counterclockwise drive moves Latched -> Loosening -> Retracting -> Housed.
 Screw tip position is measured from the bracket's top plane (negative =
 housed above the bracket). Dynamics are quasi-static: each fixed step the
 motor sits on its torque-speed line for the load of the current state.
+Every latch is the one mechanism in ``defaults``, read when a drive runs.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
+from . import defaults
 from .mechlib import (
-    MotorSpec,
-    ScrewSpec,
-    SpringSpec,
     line_point,
     motor_line,
     motor_operating_point,  # noqa: F401  (perfbench/tracer.py wraps it here)
@@ -85,35 +84,13 @@ class LatchEvent:
 
 @dataclass(frozen=True)
 class LatchFsm:
-    """Immutable latch snapshot plus its fixed mechanism parameters."""
+    """Immutable latch snapshot: its state and screw tip position (m,
+    relative to the bracket top plane). ``LatchFsm()`` is the housed latch."""
 
-    motor: MotorSpec
-    screw: ScrewSpec
-    spring: SpringSpec
     state: LatchState = LatchState.HOUSED
-    screw_tip_position: float = -0.003      # m, relative to bracket top plane
-    flexnut_friction_torque: float = 0.02   # N*m, non-catalog default
-    bracket_thickness: float = 0.009        # m
-    tslot_gap: float = 0.003                # m, bracket underside to nut face
-    tightening_current_threshold: float = 0.9  # fraction of stall current
-    clamp_torque: float = 0.26              # N*m at full engagement
-    breakaway_factor: float = 1.15          # unscrew breakaway vs clamp torque
-    housed_rest_position: float = -0.003    # m, spring-seated tip position
-    tightening_travel: float = 0.00125      # m of torque ramp past the nut face
+    screw_tip_position: float = defaults.HOUSED_REST_POSITION
 
     def __post_init__(self):
-        if self.housed_rest_position >= 0:
-            raise ValueError("housed rest position must be above the bracket plane")
-        if self.bracket_thickness <= 0 or self.tslot_gap < 0:
-            raise ValueError("invalid bracket geometry")
-        if not (0 < self.tightening_current_threshold <= 1):
-            raise ValueError("tightening threshold must be in (0, 1]")
-        if self.clamp_torque <= self.flexnut_friction_torque:
-            raise ValueError("clamp torque must exceed flexnut friction")
-        travel = (self.bracket_thickness + self.tslot_gap + self.tightening_travel
-                  - self.housed_rest_position)
-        if travel > self.screw.length:
-            raise ValueError("latched travel exceeds screw length")
         if self.state is LatchState.HOUSED and self.screw_tip_position >= 0:
             raise ValueError("Housed requires the tip above the bracket plane")
         if (self.state is LatchState.LATCHED
@@ -122,7 +99,7 @@ class LatchFsm:
 
     @property
     def tslot_engagement_position(self) -> float:
-        return self.bracket_thickness + self.tslot_gap
+        return defaults.BRACKET_THICKNESS + defaults.TSLOT_GAP
 
 
 def step(fsm: LatchFsm, cmd: DriveCommand, dt: float):
@@ -152,13 +129,14 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
     out-of-range voltage raises only there. Returns (final fsm, trace,
     timed events).
     """
-    motor = fsm.motor
-    pitch = fsm.screw.thread_pitch
-    friction = fsm.flexnut_friction_torque
-    clamp = fsm.clamp_torque
-    travel = fsm.tightening_travel
+    motor = defaults.MOTOR
+    pitch = defaults.SCREW.thread_pitch
+    friction = defaults.FLEXNUT_FRICTION_TORQUE
+    clamp = defaults.CLAMP_TORQUE
+    travel = defaults.TIGHTENING_TRAVEL
+    threshold_fraction = defaults.TIGHTENING_CURRENT_THRESHOLD
     tslot = fsm.tslot_engagement_position
-    breakaway = fsm.breakaway_factor * clamp
+    breakaway = defaults.BREAKAWAY_FACTOR * clamp
     # States the tip moves through at a constant load: the direction that
     # moves it (clockwise?), the load, and the boundary where the tip is
     # clamped as the exit transition fires.
@@ -171,7 +149,7 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
         LatchState.LOOSENING: (False, breakaway, tslot, LatchState.RETRACTING,
                                "screw-clear-of-tslot"),
         # The spring re-seats the motor against the bracket base.
-        LatchState.RETRACTING: (False, friction, fsm.housed_rest_position,
+        LatchState.RETRACTING: (False, friction, defaults.HOUSED_REST_POSITION,
                                 LatchState.HOUSED, "housed"),
     }
     state, pos = fsm.state, fsm.screw_tip_position
@@ -210,7 +188,7 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
                         ramp = min(1.0, max(0.0, depth / travel))
                         speed, sample = point(
                             friction + (clamp - friction) * ramp)
-                        threshold = fsm.tightening_current_threshold * line[2]
+                        threshold = threshold_fraction * line[2]
                         if sample >= threshold:
                             # LatchFsm's invariant, checked where a per-step
                             # snapshot would have checked it.
@@ -251,7 +229,7 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
                 events.append((t0 + len(states) * dt, LatchEvent(event)))
 
     if state is not fsm.state or pos is not fsm.screw_tip_position:
-        fsm = replace(fsm, state=state, screw_tip_position=pos)
+        fsm = LatchFsm(state, pos)
     return fsm, CurrentTrace(t0, dt, currents, positions, states), events
 
 
@@ -323,23 +301,24 @@ def run_until(fsm: LatchFsm, cmd: DriveCommand, dt: float,
                   stop_state)
 
 
-def can_latch(fsm: LatchFsm, voltage: float) -> bool:
+def can_latch(voltage: float) -> bool:
     """True iff a clockwise drive at ``voltage`` can reach Latched: the
     kernel's Tightening comparison at full ramp, where the current peaks.
     Raises VoltageRangeError outside the motor's characterized range."""
-    line = motor_line(fsm.motor, voltage)
-    friction = fsm.flexnut_friction_torque
-    _, current = line_point(fsm.motor, line,
-                            friction + (fsm.clamp_torque - friction) * 1.0)
-    return current >= fsm.tightening_current_threshold * line[2]
+    motor = defaults.MOTOR
+    friction, clamp = defaults.FLEXNUT_FRICTION_TORQUE, defaults.CLAMP_TORQUE
+    line = motor_line(motor, voltage)
+    _, current = line_point(motor, line, friction + (clamp - friction) * 1.0)
+    return current >= defaults.TIGHTENING_CURRENT_THRESHOLD * line[2]
 
 
 def holds_housed_without_power(fsm: LatchFsm) -> bool:
     """True iff flexnut friction beats the spring-induced back-drive torque."""
     if fsm.state is not LatchState.HOUSED:
         raise LatchStateError("holds_housed_without_power requires Housed state")
-    backdrive = screw_back_drive_torque(fsm.screw, fsm.spring.max_load)
-    return backdrive < fsm.flexnut_friction_torque
+    backdrive = screw_back_drive_torque(defaults.SCREW,
+                                        defaults.SPRING.max_load)
+    return backdrive < defaults.FLEXNUT_FRICTION_TORQUE
 
 
 def static_power(fsm: LatchFsm, cmd: Optional[DriveCommand] = None) -> float:

@@ -51,11 +51,8 @@ def _interp(points: tuple[tuple[float, float], ...], voltage: float) -> float:
         )
     for (v0, x0), (v1, x1) in zip(points, points[1:]):
         if v0 <= voltage <= v1:
-            if v1 == v0:
-                return x0
             f = (voltage - v0) / (v1 - v0)
             return x0 + f * (x1 - x0)
-    return points[-1][1]
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ ACTIONS = (
 
 # Wall-clock allotted to purely mechanical (non-latch) actions in the log.
 MECHANICAL_ACTION_DURATION = 1.0  # s
-_LATCH = defaults.default_latch_fsm()  # every latch of default_unit()
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class StepSpec:
         if "voltage_V" in self.parameters:
             voltage = self.parameters["voltage_V"]
             # Raises VoltageRangeError outside the motor's characterized range.
-            latches = can_latch(_LATCH, voltage)
+            latches = can_latch(voltage)
             if self.action in ("latch_angle", "latch_flat") and not latches:
                 raise ValueError(f"{self.action} at {voltage} V never latches: "
                                  "the tightening current stays below threshold")
@@ -77,6 +76,12 @@ def _check_name(name: str) -> None:
                          "printable, without '/'")
 
 
+def _check_steps(steps) -> None:
+    """The rule that a procedure has at least one step."""
+    if not steps:
+        raise ValueError("scenario has no steps")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A procedure for the maintenance unit, from ``default_unit()``."""
@@ -87,8 +92,7 @@ class Scenario:
     dt: float = defaults.DEFAULT_DT
 
     def __post_init__(self):
-        if not self.steps:
-            raise ValueError("scenario has no steps")
+        _check_steps(self.steps)
         _check_name(self.name)
         check_dt(self.dt)
 
@@ -198,8 +202,8 @@ def _drive_latches(run: _Run, which: str, direction: Direction,
                    voltage: float, stop_state: LatchState, actor: str):
     """Drive every leg's selected latch to a target state.
 
-    Legs with identical latch snapshots share one simulation (the mechanism
-    configs are identical, so the traces are too).
+    Legs with identical latch snapshots share one simulation (every latch
+    is the one mechanism, so the traces are too).
     """
     memo: dict[LatchFsm, tuple] = {}
     cmd = DriveCommand(voltage=voltage, direction=direction)
@@ -431,10 +435,10 @@ def parse(raw: Any, dt: Optional[float] = None):
 
     Returns (config, diagnostics, usage). ``usage`` holds the JSON type and
     shape errors, each with its path, and stops the build; ``diagnostics``
-    each domain rule broken, as its constructor words it. The name and dt
-    are checked apart from the other rules, so both are reported alongside
-    them. ``config``, a Scenario or an ExoScenario, is None unless both
-    lists are empty. ``dt`` overrides the document's ``dt_s``.
+    each domain rule broken, as its constructor words it. The name, dt and
+    step count are checked apart from the other rules, so each is reported
+    alongside them. ``config``, a Scenario or an ExoScenario, is None unless
+    both lists are empty. ``dt`` overrides the document's ``dt_s``.
     """
     kind = raw.get("type", "dewalop") if type(raw) is dict else "dewalop"
     usage = (_shape_errors(raw, _SHAPES[kind], "$") if kind in ("dewalop", "exo")
@@ -451,6 +455,7 @@ def parse(raw: Any, dt: Optional[float] = None):
     else:
         pipe = _build(diags, "", PipeEnvironment,
                       raw["pipe"]["inner_diameter_m"])
+        _build(diags, "", _check_steps, raw["steps"])
         steps = tuple(
             _build(diags, f"step {i}: ", StepSpec, step["action"],
                    {k: v for k, v in step.items() if k != "action"})

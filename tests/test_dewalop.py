@@ -71,11 +71,11 @@ class TestInsertion:
         force = insertion_force_required(unit, PipeEnvironment(0.800), False)
         assert force == 400.0
 
-    def test_cannot_insert_beyond_stroke(self):
-        unit = default_unit()
-        shrunk = dataclasses.replace(unit, raised_clearance_at_800=-0.050)
+    def test_cannot_insert_beyond_stroke(self, monkeypatch):
+        monkeypatch.setattr(defaults, "RAISED_CLEARANCE_AT_800", -0.050)
         with pytest.raises(InsertionError):
-            insertion_force_required(shrunk, PipeEnvironment(0.800), False)
+            insertion_force_required(default_unit(), PipeEnvironment(0.800),
+                                     False)
 
     @given(d1=st.floats(min_value=0.800, max_value=1.000),
            d2=st.floats(min_value=0.800, max_value=1.000))
@@ -144,11 +144,10 @@ class TestWallPress:
         with pytest.raises(LegStateError):
             wall_press(default_unit(), PipeEnvironment(0.800))
 
-    def test_travel_limit(self):
-        unit = dataclasses.replace(raised_unit(),
-                                   retracted_contact_radius=0.300)
+    def test_travel_limit(self, monkeypatch):
+        monkeypatch.setattr(defaults, "RETRACTED_CONTACT_RADIUS", 0.300)
         with pytest.raises(LegStateError):
-            wall_press(unit, PipeEnvironment(1.000))
+            wall_press(raised_unit(), PipeEnvironment(1.000))
 
     @given(diameter=st.floats(min_value=0.800, max_value=1.000))
     @settings(max_examples=50, deadline=None)

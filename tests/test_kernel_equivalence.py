@@ -50,16 +50,16 @@ def ref_operating_point(motor, supply_voltage, load_torque):
 
 
 def ref_load_torque(fsm, state):
-    friction = fsm.flexnut_friction_torque
+    friction = defaults.FLEXNUT_FRICTION_TORQUE
     if state in (LatchState.ENGAGING_FLEXNUT, LatchState.TRAVERSING,
                  LatchState.RETRACTING):
         return friction
     if state is LatchState.TIGHTENING:
         depth = fsm.screw_tip_position - fsm.tslot_engagement_position
-        ramp = min(1.0, max(0.0, depth / fsm.tightening_travel))
-        return friction + (fsm.clamp_torque - friction) * ramp
+        ramp = min(1.0, max(0.0, depth / defaults.TIGHTENING_TRAVEL))
+        return friction + (defaults.CLAMP_TORQUE - friction) * ramp
     if state is LatchState.LOOSENING:
-        return fsm.breakaway_factor * fsm.clamp_torque
+        return defaults.BREAKAWAY_FACTOR * defaults.CLAMP_TORQUE
     return 0.0
 
 
@@ -78,7 +78,8 @@ def ref_drive_sample(fsm, cmd):
             state = fsm.state
         else:
             return None
-    return ref_operating_point(fsm.motor, cmd.voltage, ref_load_torque(fsm, state))
+    return ref_operating_point(defaults.MOTOR, cmd.voltage,
+                               ref_load_torque(fsm, state))
 
 
 def ref_step(fsm, cmd, dt):
@@ -95,14 +96,15 @@ def ref_step(fsm, cmd, dt):
         if fsm.state is LatchState.HOUSED:
             return (replace(fsm, state=LatchState.ENGAGING_FLEXNUT),
                     LatchEvent("engaging"))
-        op = ref_operating_point(fsm.motor, cmd.voltage,
+        op = ref_operating_point(defaults.MOTOR, cmd.voltage,
                                  ref_load_torque(fsm, fsm.state))
         if fsm.state is LatchState.TIGHTENING:
-            threshold = (fsm.tightening_current_threshold
-                         * fsm.motor.stall_current(cmd.voltage))
+            threshold = (defaults.TIGHTENING_CURRENT_THRESHOLD
+                         * defaults.MOTOR.stall_current(cmd.voltage))
             if op.current >= threshold:
                 return replace(fsm, state=LatchState.LATCHED), LatchEvent("latched")
-        pos = fsm.screw_tip_position + op.speed * fsm.screw.thread_pitch * dt
+        pos = (fsm.screw_tip_position
+               + op.speed * defaults.SCREW.thread_pitch * dt)
         if fsm.state is LatchState.ENGAGING_FLEXNUT and pos >= 0.0:
             return (replace(fsm, state=LatchState.TRAVERSING,
                             screw_tip_position=0.0),
@@ -117,17 +119,18 @@ def ref_step(fsm, cmd, dt):
         return replace(fsm, state=LatchState.LOOSENING), LatchEvent("breakaway")
     if fsm.state not in _UNLATCHING_STATES:
         return fsm, None
-    op = ref_operating_point(fsm.motor, cmd.voltage,
+    op = ref_operating_point(defaults.MOTOR, cmd.voltage,
                              ref_load_torque(fsm, fsm.state))
-    pos = fsm.screw_tip_position - op.speed * fsm.screw.thread_pitch * dt
+    pos = (fsm.screw_tip_position
+           - op.speed * defaults.SCREW.thread_pitch * dt)
     if (fsm.state is LatchState.LOOSENING
             and pos <= fsm.tslot_engagement_position):
         return (replace(fsm, state=LatchState.RETRACTING,
                         screw_tip_position=fsm.tslot_engagement_position),
                 LatchEvent("screw-clear-of-tslot"))
-    if fsm.state is LatchState.RETRACTING and pos <= fsm.housed_rest_position:
-        return (replace(fsm, state=LatchState.HOUSED,
-                        screw_tip_position=fsm.housed_rest_position),
+    rest = defaults.HOUSED_REST_POSITION
+    if fsm.state is LatchState.RETRACTING and pos <= rest:
+        return (replace(fsm, state=LatchState.HOUSED, screw_tip_position=rest),
                 LatchEvent("housed"))
     return replace(fsm, screw_tip_position=pos), None
 
@@ -222,7 +225,7 @@ def start_states(draw):
         state = (LatchState.LATCHED if kind == "latched"
                  else LatchState.LOOSENING)
         pos = draw(st.floats(min_value=TSLOT,
-                             max_value=TSLOT + FSM.tightening_travel))
+                             max_value=TSLOT + defaults.TIGHTENING_TRAVEL))
     return dataclasses.replace(FSM, state=state, screw_tip_position=pos)
 
 

@@ -48,14 +48,14 @@ class TestStep:
         names = [e.name for _, e in events]
         assert names == ["engaging", "crossed-bracket-plane", "reached-tslot",
                          "latched"]
-        threshold = (fsm.tightening_current_threshold
-                     * fsm.motor.stall_current(3.0))
+        threshold = (defaults.TIGHTENING_CURRENT_THRESHOLD
+                     * defaults.MOTOR.stall_current(3.0))
         assert trace.samples[-1].current >= threshold
 
     def test_latched_position_invariant(self, fsm):
         final, _, _ = full_latch(fsm)
-        assert final.screw_tip_position >= (final.bracket_thickness
-                                            + final.tslot_gap)
+        assert final.screw_tip_position >= (defaults.BRACKET_THICKNESS
+                                            + defaults.TSLOT_GAP)
 
     def test_breakaway_peak_is_unlatch_maximum(self, fsm):
         latched, _, _ = full_latch(fsm)
@@ -128,8 +128,8 @@ class TestSimulateTrace:
         coarse = run_schedule(fsm, schedule, 0.002)[1]
         fine = run_schedule(fsm, schedule, 0.001)[1]
         assert coarse.samples[-1].state == fine.samples[-1].state
-        max_advance = (fsm.motor.free_speed(3.0) * fsm.screw.thread_pitch
-                       * 0.002)
+        max_advance = (defaults.MOTOR.free_speed(3.0)
+                       * defaults.SCREW.thread_pitch * 0.002)
         assert abs(coarse.samples[-1].position
                    - fine.samples[-1].position) <= max_advance
 
@@ -169,12 +169,17 @@ class TestTimeBase:
         assert peak / len(trace.state) <= 48
 
 
-def _short_lock(fsm):
-    """The latch with its travel cut a hundredfold, so that a full drive at
-    MIN_DT takes about 1/100 of the 2e6 steps of the real one."""
-    return dataclasses.replace(
-        fsm, screw_tip_position=-3e-5, housed_rest_position=-3e-5,
-        bracket_thickness=9e-5, tslot_gap=3e-5, tightening_travel=1.25e-5)
+@pytest.fixture
+def short_lock(monkeypatch):
+    """The housed latch with the mechanism's travel cut a hundredfold, so
+    that a full drive at MIN_DT takes about 1/100 of the 2e6 steps of the
+    real one."""
+    for name, value in (("HOUSED_REST_POSITION", -3e-5),
+                        ("BRACKET_THICKNESS", 9e-5), ("TSLOT_GAP", 3e-5),
+                        ("TIGHTENING_TRAVEL", 1.25e-5)):
+        monkeypatch.setattr(defaults, name, value)
+    # LatchFsm's default position was bound when the class was created.
+    return LatchFsm(screw_tip_position=defaults.HOUSED_REST_POSITION)
 
 
 # Every latch entry point, driven clockwise with one timestep.
@@ -184,43 +189,55 @@ ENTRY_POINTS = {
     "run_schedule": lambda fsm, dt: run_schedule(fsm, [(CW3, 0.01)], dt),
     "step": lambda fsm, dt: step(fsm, CW3, dt),
     "exo.latch_energy": lambda fsm, dt: exo.latch_energy(
-        exo.ExoJoint(motor=fsm.motor, lock=_short_lock(fsm)), dt),
+        exo.ExoJoint(motor=defaults.MOTOR, lock=fsm), dt),
 }
 
 
 class TestDtRule:
     @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, 1e-6])
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    def test_rejects_bad_timestep(self, fsm, entry, dt):
+    def test_rejects_bad_timestep(self, short_lock, entry, dt):
         with pytest.raises(ValueError, match="non-positive timestep"):
-            ENTRY_POINTS[entry](fsm, dt)
+            ENTRY_POINTS[entry](short_lock, dt)
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    def test_accepts_min_dt(self, fsm, entry):
-        assert ENTRY_POINTS[entry](fsm, MIN_DT)
+    def test_accepts_min_dt(self, short_lock, entry):
+        assert ENTRY_POINTS[entry](short_lock, MIN_DT)
 
 
 class TestHousedStatics:
     def test_default_mechanism_holds(self, fsm):
         assert holds_housed_without_power(fsm)
 
-    def test_backdrive_oracle_margin(self, fsm):
+    def test_backdrive_oracle_margin(self):
         # The M8/mu=0.2 thread is self-locking, so any friction holds.
         from lammos.mechlib import screw_back_drive_torque
-        backdrive = screw_back_drive_torque(fsm.screw, fsm.spring.max_load)
-        assert backdrive < fsm.flexnut_friction_torque / 2
+        backdrive = screw_back_drive_torque(defaults.SCREW,
+                                            defaults.SPRING.max_load)
+        assert backdrive < defaults.FLEXNUT_FRICTION_TORQUE / 2
 
-    def test_zero_friction_fails(self, fsm):
-        slack = dataclasses.replace(fsm, flexnut_friction_torque=0.0,
-                                    clamp_torque=0.26)
-        # clamp > friction still required by the constructor
-        assert not holds_housed_without_power(slack)
+    def test_zero_friction_fails(self, fsm, monkeypatch):
+        monkeypatch.setattr(defaults, "FLEXNUT_FRICTION_TORQUE", 0.0)
+        assert not holds_housed_without_power(fsm)
 
     def test_wrong_state_raises(self, fsm):
         mid, _, _ = run_until(fsm, CW3, 0.001, LatchState.TRAVERSING,
                               max_duration=10.0)
         with pytest.raises(LatchStateError):
             holds_housed_without_power(mid)
+
+
+class TestMechanism:
+    def test_constants_are_consistent(self):
+        # The one mechanism every latch snapshot is driven by.
+        d = defaults
+        assert d.HOUSED_REST_POSITION < 0, "rest above the bracket plane"
+        assert d.BRACKET_THICKNESS > 0 and d.TSLOT_GAP >= 0, "bracket geometry"
+        assert 0 < d.TIGHTENING_CURRENT_THRESHOLD <= 1, "threshold in (0, 1]"
+        assert d.CLAMP_TORQUE > d.FLEXNUT_FRICTION_TORQUE, "clamp > friction"
+        travel = (d.BRACKET_THICKNESS + d.TSLOT_GAP + d.TIGHTENING_TRAVEL
+                  - d.HOUSED_REST_POSITION)
+        assert travel <= d.SCREW.length, "latched travel within the screw"
 
 
 class TestStaticPower:
@@ -280,9 +297,19 @@ class TestProperties:
     def test_can_latch_matches_drive(self, fsm, voltage):
         cmd = DriveCommand(voltage, Direction.CLOCKWISE)
         final, _, _ = run_until(fsm, cmd, 0.005, LatchState.LATCHED)
-        assert can_latch(fsm, voltage) is (final.state is LatchState.LATCHED)
+        assert can_latch(voltage) is (final.state is LatchState.LATCHED)
 
-    def test_single_motor_suffices(self, fsm):
-        # The whole latch cycle is driven by the one MotorSpec the FSM holds.
-        final, _, _ = full_latch(fsm)
-        assert final.motor == fsm.motor
+    def test_single_motor_suffices(self, fsm, monkeypatch):
+        # The whole latch cycle is driven by the one MotorSpec in defaults,
+        # read when the drive runs: a motor twice as fast latches sooner.
+        latched, trace, _ = full_latch(fsm)
+        _, unlatch, _ = run_until(latched, CCW6, 0.001, LatchState.HOUSED)
+        motor = defaults.MOTOR
+        monkeypatch.setattr(defaults, "MOTOR", dataclasses.replace(
+            motor, free_speed_points=tuple(
+                (v, 2 * speed) for v, speed in motor.free_speed_points)))
+        fast_latched, fast, _ = full_latch(fsm)
+        _, fast_unlatch, _ = run_until(fast_latched, CCW6, 0.001,
+                                       LatchState.HOUSED)
+        assert fast.duration < trace.duration
+        assert fast_unlatch.duration < unlatch.duration

@@ -213,6 +213,18 @@ class TestValidate:
         })
         assert any("no steps" in d for d in diags)
 
+    def test_empty_steps_reported_alongside_name_and_pipe(self):
+        diags = validate({
+            "name": "../x", "type": "dewalop",
+            "pipe": {"inner_diameter_m": 0.7}, "steps": [],
+        })
+        assert diags == [
+            "scenario name '../x' must be non-empty and printable, "
+            "without '/'",
+            "pipe out of operating range: 0.7 m not in [0.8, 1.0] m",
+            "scenario has no steps",
+        ]
+
 
 class TestScenarioTypes:
     def test_step_spec_rejects_unknown_action(self):
