@@ -106,7 +106,7 @@ def default_unit() -> MaintenanceUnit:
     return MaintenanceUnit(legs=tuple(legs))
 
 
-def insertion_clearance(unit: MaintenanceUnit, pipe: PipeEnvironment,
+def insertion_clearance(pipe: PipeEnvironment,
                         top_legs_lowered: bool) -> float:
     """Radial gap between the (possibly lowered) top legs and the pipe mouth.
 
@@ -119,10 +119,10 @@ def insertion_clearance(unit: MaintenanceUnit, pipe: PipeEnvironment,
     return base + (pipe.inner_diameter - defaults.PIPE_DIAMETER_MIN) / 2.0
 
 
-def insertion_force_required(unit: MaintenanceUnit, pipe: PipeEnvironment,
+def insertion_force_required(pipe: PipeEnvironment,
                              top_legs_lowered: bool) -> float:
     """Push force per interfering leg to enter the pipe (gas-spring preload)."""
-    clearance = insertion_clearance(unit, pipe, top_legs_lowered)
+    clearance = insertion_clearance(pipe, top_legs_lowered)
     if clearance >= 0:
         return 0.0
     if -clearance > defaults.GAS_SPRING_MAX_COMPRESSION:

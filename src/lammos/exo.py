@@ -153,7 +153,7 @@ def check_lock_at(lock_at: Optional[float], timeline: LoadTimeline) -> None:
 def _housed(lock: LatchFsm) -> LatchFsm:
     if lock.state is LatchState.HOUSED:
         return lock
-    return LatchFsm(LatchState.HOUSED, defaults.HOUSED_REST_POSITION)
+    return LatchFsm()
 
 
 def auto_lock_decision(joint: ExoJoint, power_now: float,

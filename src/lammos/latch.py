@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from . import defaults
@@ -88,7 +88,8 @@ class LatchFsm:
     relative to the bracket top plane). ``LatchFsm()`` is the housed latch."""
 
     state: LatchState = LatchState.HOUSED
-    screw_tip_position: float = defaults.HOUSED_REST_POSITION
+    screw_tip_position: float = field(
+        default_factory=lambda: defaults.HOUSED_REST_POSITION)
 
     def __post_init__(self):
         if self.state is LatchState.HOUSED and self.screw_tip_position >= 0:
@@ -132,11 +133,9 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
     motor = defaults.MOTOR
     pitch = defaults.SCREW.thread_pitch
     friction = defaults.FLEXNUT_FRICTION_TORQUE
-    clamp = defaults.CLAMP_TORQUE
     travel = defaults.TIGHTENING_TRAVEL
-    threshold_fraction = defaults.TIGHTENING_CURRENT_THRESHOLD
     tslot = fsm.tslot_engagement_position
-    breakaway = defaults.BREAKAWAY_FACTOR * clamp
+    breakaway = defaults.BREAKAWAY_FACTOR * defaults.CLAMP_TORQUE
     # States the tip moves through at a constant load: the direction that
     # moves it (clockwise?), the load, and the boundary where the tip is
     # clamped as the exit transition fires.
@@ -184,12 +183,10 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
                     pass  # the screw holds by flexnut friction
                 elif state is LatchState.TIGHTENING:
                     if clockwise:
-                        depth = pos - tslot
-                        ramp = min(1.0, max(0.0, depth / travel))
-                        speed, sample = point(
-                            friction + (clamp - friction) * ramp)
-                        threshold = threshold_fraction * line[2]
-                        if sample >= threshold:
+                        line = line or motor_line(motor, voltage)
+                        speed, sample, tight = _tightening(
+                            line, min(1.0, max(0.0, (pos - tslot) / travel)))
+                        if tight:
                             # LatchFsm's invariant, checked where a per-step
                             # snapshot would have checked it.
                             if pos < tslot:
@@ -275,7 +272,7 @@ class CurrentTrace:
 
     @property
     def duration(self) -> float:
-        return self.t0 + len(self.state) * self.dt if self.state else 0.0
+        return self.t0 + len(self.state) * self.dt
 
     def energy(self, voltage_for: Callable[[float], float], dt: float) -> float:
         """Integrate V*I*dt over the trace given a t -> V lookup."""
@@ -301,15 +298,21 @@ def run_until(fsm: LatchFsm, cmd: DriveCommand, dt: float,
                   stop_state)
 
 
+def _tightening(line, ramp: float):
+    """A Tightening step on motor ``line`` at ``ramp`` (0 at the nut face,
+    1 at full clamp): (speed, current, whether the current latches)."""
+    friction = defaults.FLEXNUT_FRICTION_TORQUE
+    load = friction + (defaults.CLAMP_TORQUE - friction) * ramp
+    speed, current = line_point(defaults.MOTOR, line, load)
+    tight = current >= defaults.TIGHTENING_CURRENT_THRESHOLD * line[2]
+    return speed, current, tight
+
+
 def can_latch(voltage: float) -> bool:
     """True iff a clockwise drive at ``voltage`` can reach Latched: the
-    kernel's Tightening comparison at full ramp, where the current peaks.
+    kernel's Tightening rule at full ramp, where the current peaks.
     Raises VoltageRangeError outside the motor's characterized range."""
-    motor = defaults.MOTOR
-    friction, clamp = defaults.FLEXNUT_FRICTION_TORQUE, defaults.CLAMP_TORQUE
-    line = motor_line(motor, voltage)
-    _, current = line_point(motor, line, friction + (clamp - friction) * 1.0)
-    return current >= defaults.TIGHTENING_CURRENT_THRESHOLD * line[2]
+    return _tightening(motor_line(defaults.MOTOR, voltage), 1.0)[2]
 
 
 def holds_housed_without_power(fsm: LatchFsm) -> bool:

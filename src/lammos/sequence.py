@@ -39,12 +39,6 @@ from .latch import (
 )
 from .mechlib import csv_number
 
-ACTIONS = (
-    "lower_legs", "move_into_pipe", "raise_legs", "latch_angle",
-    "extend_legs", "latch_flat", "unlatch_flat", "retract_legs",
-    "unlatch_angle", "exit_pipe",
-)
-
 # Wall-clock allotted to purely mechanical (non-latch) actions in the log.
 MECHANICAL_ACTION_DURATION = 1.0  # s
 
@@ -55,8 +49,11 @@ class StepSpec:
     parameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.action not in ACTIONS:
+        if self.action not in _ACTIONS:
             raise ValueError(f"unknown action {self.action!r}")
+        for name in self.parameters:
+            if name not in _ACTIONS[self.action][1]:
+                raise ValueError(f"{self.action} does not read {name!r}")
         angle = self.parameters.get("angle_deg")
         if angle is not None and not (0 < angle < 90):
             raise ValueError(f"lowering angle {angle} deg out of (0, 90)")
@@ -124,11 +121,6 @@ class EventEntry:
 class EventLog:
     entries: tuple[EventEntry, ...] = ()
 
-    def appended(self, entry: EventEntry) -> "EventLog":
-        if self.entries and entry.t < self.entries[-1].t:
-            raise ValueError("event log timestamps must be non-decreasing")
-        return EventLog(entries=self.entries + (entry,))
-
     def to_csv(self) -> str:
         lines = ["t_s,actor,event,hash"]
         for e in self.entries:
@@ -177,18 +169,22 @@ def snapshot_hash(unit: MaintenanceUnit) -> str:
 
 @dataclass
 class _Run:
-    """Mutable bookkeeping for one scenario execution."""
+    """Mutable bookkeeping for one scenario execution. ``entries`` and
+    ``traces`` only grow, except that a failed step cuts them back."""
 
     scenario: Scenario
     unit: MaintenanceUnit
     t: float = 0.0
-    log: EventLog = field(default_factory=EventLog)
+    entries: list[EventEntry] = field(default_factory=list)
     traces: list[tuple[str, CurrentTrace]] = field(default_factory=list)
 
-    def emit(self, actor: str, event: str):
-        self.log = self.log.appended(EventEntry(
-            t=self.t, actor=actor, event=event,
-            snapshot_hash=snapshot_hash(self.unit)))
+    def emit(self, actor: str, event: str, t: Optional[float] = None):
+        """Log an event at ``t`` (default: now) against the current unit."""
+        t = self.t if t is None else t
+        if self.entries and t < self.entries[-1].t:
+            raise ValueError("event log timestamps must be non-decreasing")
+        self.entries.append(EventEntry(t=t, actor=actor, event=event,
+                                       snapshot_hash=snapshot_hash(self.unit)))
 
 
 class _StepFailure(Exception):
@@ -202,57 +198,59 @@ def _drive_latches(run: _Run, which: str, direction: Direction,
                    voltage: float, stop_state: LatchState, actor: str):
     """Drive every leg's selected latch to a target state.
 
-    Legs with identical latch snapshots share one simulation (every latch
-    is the one mechanism, so the traces are too).
+    Each distinct starting latch is driven once, in leg order (every latch
+    is the one mechanism, so legs that start alike end alike). The first
+    leg's drive is logged; the clock advances by the longest drive.
     """
-    memo: dict[LatchFsm, tuple] = {}
     cmd = DriveCommand(voltage=voltage, direction=direction)
-    longest = 0.0
-    representative = None
+    drives: dict[LatchFsm, tuple] = {}
     for leg in run.unit.legs:
         fsm = getattr(leg, which)
-        if fsm not in memo:
-            memo[fsm] = run_until(fsm, cmd, run.scenario.dt, stop_state,
-                                  t0=run.t)
-        final, trace, events = memo[fsm]
-        if final.state is not stop_state:
+        if fsm not in drives:
+            drives[fsm] = run_until(fsm, cmd, run.scenario.dt, stop_state,
+                                    t0=run.t)
+        if drives[fsm][0].state is not stop_state:
             raise _StepFailure(
                 f"{which} did not reach {stop_state.value} within "
                 f"{LATCH_TIMEOUT:.0f} s", leg=leg.leg_id)
-        run.unit = run.unit.with_leg(replace(leg, **{which: final}))
-        longest = max(longest, trace.duration - run.t)
-        if representative is None:
-            representative = (trace, events)
-    trace, events = representative
+    run.unit = replace(run.unit, legs=tuple(
+        replace(leg, **{which: drives[getattr(leg, which)][0]})
+        for leg in run.unit.legs))
+    _, trace, events = next(iter(drives.values()))
     run.traces.append((actor, trace))
     for t_event, ev in events:
-        t_save, run.t = run.t, t_event
-        run.emit(actor, ev.name)
-        run.t = t_save
-    run.t += longest
+        run.emit(actor, ev.name, t_event)
+    # Floored: a drive already at its target takes no step and ends at t0.
+    run.t += max(0.0, *(drive[1].duration - run.t
+                        for drive in drives.values()))
 
 
-def _do_lower_legs(run: _Run, params: dict):
-    angle = (math.radians(params["angle_deg"]) if "angle_deg" in params
-             else defaults.LOWERING_ANGLE)
+def _turn_top_legs(run: _Run, angle: float):
+    """Turn every top leg about its hinge to ``angle`` (0: perpendicular)."""
     for leg in run.unit.ring_legs("top"):
         try:
             run.unit = run.unit.with_leg(lower_leg(leg, angle))
         except LegStateError as exc:
             raise _StepFailure(str(exc), leg=leg.leg_id)
     run.t += MECHANICAL_ACTION_DURATION
+
+
+def _do_lower_legs(run: _Run, params: dict):
+    angle = (math.radians(params["angle_deg"]) if "angle_deg" in params
+             else defaults.LOWERING_ANGLE)
+    _turn_top_legs(run, angle)
     run.emit("lower_legs", f"top legs lowered to {math.degrees(angle):.1f} deg")
 
 
 def _do_move_into_pipe(run: _Run, params: dict):
     lowered = all(l.hinge_angle != 0.0 for l in run.unit.ring_legs("top"))
-    clearance = insertion_clearance(run.unit, run.scenario.pipe, lowered)
+    clearance = insertion_clearance(run.scenario.pipe, lowered)
     if clearance < 0:
         if not params.get("acknowledge_push_force", False):
             raise _StepFailure(
                 f"clearance {clearance:.3f} m requires acknowledged push force")
         try:
-            force = insertion_force_required(run.unit, run.scenario.pipe, lowered)
+            force = insertion_force_required(run.scenario.pipe, lowered)
         except InsertionError as exc:
             raise _StepFailure(str(exc))
         run.emit("move_into_pipe", f"manual push {force:.0f} N per leg acknowledged")
@@ -262,12 +260,7 @@ def _do_move_into_pipe(run: _Run, params: dict):
 
 
 def _do_raise_legs(run: _Run, params: dict):
-    for leg in run.unit.ring_legs("top"):
-        try:
-            run.unit = run.unit.with_leg(lower_leg(leg, 0.0))
-        except LegStateError as exc:
-            raise _StepFailure(str(exc), leg=leg.leg_id)
-    run.t += MECHANICAL_ACTION_DURATION
+    _turn_top_legs(run, 0.0)
     run.emit("raise_legs", "top legs perpendicular to unit axis")
 
 
@@ -340,17 +333,18 @@ def _do_exit_pipe(run: _Run, params: dict):
     run.emit("exit_pipe", "robot outside the pipe")
 
 
-_HANDLERS = {
-    "lower_legs": _do_lower_legs,
-    "move_into_pipe": _do_move_into_pipe,
-    "raise_legs": _do_raise_legs,
-    "latch_angle": _do_latch_angle,
-    "extend_legs": _do_extend_legs,
-    "latch_flat": _do_latch_flat,
-    "unlatch_flat": _do_unlatch_flat,
-    "retract_legs": _do_retract_legs,
-    "unlatch_angle": _do_unlatch_angle,
-    "exit_pipe": _do_exit_pipe,
+# Every action: its handler and the step parameters it reads.
+_ACTIONS = {
+    "lower_legs": (_do_lower_legs, ("angle_deg",)),
+    "move_into_pipe": (_do_move_into_pipe, ("acknowledge_push_force",)),
+    "raise_legs": (_do_raise_legs, ()),
+    "latch_angle": (_do_latch_angle, ("voltage_V",)),
+    "extend_legs": (_do_extend_legs, ()),
+    "latch_flat": (_do_latch_flat, ("voltage_V",)),
+    "unlatch_flat": (_do_unlatch_flat, ("voltage_V",)),
+    "retract_legs": (_do_retract_legs, ()),
+    "unlatch_angle": (_do_unlatch_angle, ("voltage_V",)),
+    "exit_pipe": (_do_exit_pipe, ()),
 }
 
 
@@ -358,23 +352,24 @@ def run_scenario(scenario: Scenario):
     """Execute a scenario. Returns (final unit, event log, verdict, traces)."""
     run = _Run(scenario=scenario, unit=default_unit())
     run.emit("scenario", f"start {scenario.name}")
-    for index, step in enumerate(scenario.steps):
-        before = run.unit
-        before_t, before_log, before_traces = run.t, run.log, list(run.traces)
+    verdict = Verdict(passed=True)
+    for number, step in enumerate(scenario.steps, 1):
+        before = run.unit, run.t, len(run.entries), len(run.traces)
         try:
-            _HANDLERS[step.action](run, step.parameters)
+            _ACTIONS[step.action][0](run, step.parameters)
         except _StepFailure as failure:
-            # Abort safety: surface the snapshot taken before the step.
-            run.unit, run.t = before, before_t
-            run.log, run.traces = before_log, before_traces
-            run.emit("scenario", f"abort at step {index + 1} ({step.action}): "
+            # Abort safety: undo the step, back to the snapshot before it.
+            run.unit, run.t, logged, traced = before
+            del run.entries[logged:], run.traces[traced:]
+            run.emit("scenario", f"abort at step {number} ({step.action}): "
                                  f"{failure.reason}")
-            verdict = Verdict(passed=False, failed_step=index + 1,
+            verdict = Verdict(passed=False, failed_step=number,
                               failed_action=step.action, reason=failure.reason,
                               offending_leg=failure.leg)
-            return before, run.log, verdict, tuple(run.traces)
-    run.emit("scenario", f"complete {scenario.name}")
-    return run.unit, run.log, Verdict(passed=True), tuple(run.traces)
+            break
+    else:
+        run.emit("scenario", f"complete {scenario.name}")
+    return run.unit, EventLog(tuple(run.entries)), verdict, tuple(run.traces)
 
 
 # -- scenario files -----------------------------------------------------------

@@ -163,11 +163,10 @@ def test_criterion_4_latch_fsm_properties(fsm):
 
 
 def test_criterion_5_insertion_numbers():
-    unit = default_unit()
     pipe800 = PipeEnvironment(0.800)
-    ok = insertion_clearance(unit, pipe800, True) == 0.116
-    ok &= insertion_clearance(unit, pipe800, False) == -0.030
-    ok &= insertion_force_required(unit, pipe800, False) == 400.0
+    ok = insertion_clearance(pipe800, True) == 0.116
+    ok &= insertion_clearance(pipe800, False) == -0.030
+    ok &= insertion_force_required(pipe800, False) == 400.0
     report("5: insertion clearances and push force exact", bool(ok))
 
 

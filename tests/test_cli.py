@@ -3,7 +3,10 @@
 import copy
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -68,6 +71,8 @@ MALFORMED = {
                                       "voltage_V"), ()),
     "unlatchable_voltage": ("run", _with(LATCHING, 3.5, "steps", 3,
                                          "voltage_V"), ()),
+    "unread_parameter": ("run", _with(LATCHING, 45, "steps", 3,
+                                      "angle_deg"), ()),
     "bad_exo_dt": ("run", {**EXO, "dt_s": -0.001, "lock_at_s": 0.0}, ()),
     "bad_dt_zero": ("run", MECHANICAL, ("--dt", "0")),
     "bad_dt_nan": ("run", MECHANICAL, ("--dt", "nan")),
@@ -173,6 +178,27 @@ class TestCheck:
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"name": "\xff"}')
         assert run_cli("check", str(bad)) == 2
+
+
+class TestProcessExit:
+    """The exit code the ``lammos`` process returns, not ``main``'s value."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", str(SCENARIOS / "canonical_800mm.json")], 0),
+        (["check", str(SCENARIOS / "pipe_out_of_range.json")], 1),
+        (["check", "{not_json}"], 2),
+        ([], 2),
+        (["--help"], 0),
+    ], ids=["check_canonical", "check_pipe_out_of_range", "check_not_json",
+            "no_arguments", "help"])
+    def test_exit_code(self, argv, code, tmp_path):
+        not_json = tmp_path / "bad.json"
+        not_json.write_text("{not json")
+        argv = [str(not_json) if a == "{not_json}" else a for a in argv]
+        env = {**os.environ, "PYTHONPATH": str(SCENARIOS.parent / "src")}
+        result = subprocess.run([sys.executable, "-m", "lammos.cli", *argv],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == code, result.stderr
 
 
 class TestBoundary:

@@ -50,32 +50,27 @@ class TestPipe:
 
 class TestInsertion:
     def test_lowered_clearance_800(self):
-        unit, pipe = default_unit(), PipeEnvironment(0.800)
-        assert insertion_clearance(unit, pipe, True) == 0.116
+        assert insertion_clearance(PipeEnvironment(0.800), True) == 0.116
 
     def test_raised_interference_800(self):
-        unit, pipe = default_unit(), PipeEnvironment(0.800)
-        assert insertion_clearance(unit, pipe, False) == -0.030
+        assert insertion_clearance(PipeEnvironment(0.800), False) == -0.030
 
     def test_raised_clearance_1000(self):
-        unit, pipe = default_unit(), PipeEnvironment(1.000)
-        assert insertion_clearance(unit, pipe, False) == pytest.approx(0.070)
+        assert insertion_clearance(PipeEnvironment(1.000),
+                                   False) == pytest.approx(0.070)
 
     def test_force_zero_when_clear(self):
-        unit = default_unit()
-        assert insertion_force_required(unit, PipeEnvironment(0.800), True) == 0.0
-        assert insertion_force_required(unit, PipeEnvironment(1.000), False) == 0.0
+        assert insertion_force_required(PipeEnvironment(0.800), True) == 0.0
+        assert insertion_force_required(PipeEnvironment(1.000), False) == 0.0
 
     def test_force_is_gas_spring_preload(self):
-        unit = default_unit()
-        force = insertion_force_required(unit, PipeEnvironment(0.800), False)
+        force = insertion_force_required(PipeEnvironment(0.800), False)
         assert force == 400.0
 
     def test_cannot_insert_beyond_stroke(self, monkeypatch):
         monkeypatch.setattr(defaults, "RAISED_CLEARANCE_AT_800", -0.050)
         with pytest.raises(InsertionError):
-            insertion_force_required(default_unit(), PipeEnvironment(0.800),
-                                     False)
+            insertion_force_required(PipeEnvironment(0.800), False)
 
     @given(d1=st.floats(min_value=0.800, max_value=1.000),
            d2=st.floats(min_value=0.800, max_value=1.000))
@@ -84,10 +79,9 @@ class TestInsertion:
         if d1 == d2:
             return
         lo, hi = sorted((d1, d2))
-        unit = default_unit()
         for lowered in (True, False):
-            assert (insertion_clearance(unit, PipeEnvironment(lo), lowered)
-                    < insertion_clearance(unit, PipeEnvironment(hi), lowered))
+            assert (insertion_clearance(PipeEnvironment(lo), lowered)
+                    < insertion_clearance(PipeEnvironment(hi), lowered))
 
 
 class TestLowerLeg:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lammos import defaults, exo
+from lammos.dewalop import default_unit
 from lammos.latch import (
     DRIVE_OFF,
     MIN_DT,
@@ -157,6 +158,13 @@ class TestTimeBase:
             assert {t for t, _ in events} <= {s.t for s in samples}
             assert trace.duration == samples[-1].t == events[-1][0] == end
 
+    def test_zero_step_drive_ends_at_t0(self, fsm):
+        latched, _, _ = full_latch(fsm)
+        final, trace, events = run_until(latched, CW3, 1e-3,
+                                         LatchState.LATCHED, t0=17.5)
+        assert (final, len(trace.state), events) == (latched, 0, [])
+        assert trace.duration == 17.5
+
     def test_drive_keeps_columns_not_objects(self, fsm):
         # Two float columns and one state reference per step, plus the
         # columns' growth; a frozen sample per step kept about 200 B.
@@ -178,8 +186,7 @@ def short_lock(monkeypatch):
                         ("BRACKET_THICKNESS", 9e-5), ("TSLOT_GAP", 3e-5),
                         ("TIGHTENING_TRAVEL", 1.25e-5)):
         monkeypatch.setattr(defaults, name, value)
-    # LatchFsm's default position was bound when the class was created.
-    return LatchFsm(screw_tip_position=defaults.HOUSED_REST_POSITION)
+    return LatchFsm()
 
 
 # Every latch entry point, driven clockwise with one timestep.
@@ -208,6 +215,15 @@ class TestDtRule:
 class TestHousedStatics:
     def test_default_mechanism_holds(self, fsm):
         assert holds_housed_without_power(fsm)
+
+    def test_housed_latch_reads_rest_position_when_built(self, monkeypatch):
+        monkeypatch.setattr(defaults, "HOUSED_REST_POSITION", -2e-3)
+        unit = default_unit()
+        positions = {LatchFsm().screw_tip_position,
+                     defaults.default_latch_fsm().screw_tip_position,
+                     *(latch.screw_tip_position for leg in unit.legs
+                       for latch in (leg.angle_latch, leg.flat_latch))}
+        assert positions == {-2e-3}
 
     def test_backdrive_oracle_margin(self):
         # The M8/mu=0.2 thread is self-locking, so any friction holds.

@@ -115,6 +115,22 @@ class TestOrderingAndAbort:
         assert prefix_verdict.passed
         assert unit == prefix_unit
 
+    def test_latching_latched_latches_takes_no_time(self):
+        # The second latch_angle drives zero steps: the clock stays put.
+        scenario = build_scenario({
+            "name": "relatch", "type": "dewalop",
+            "pipe": {"inner_diameter_m": 0.800}, "dt_s": FAST_DT,
+            "steps": [{"action": a} for a in (
+                "lower_legs", "move_into_pipe", "raise_legs", "latch_angle",
+                "latch_angle", "extend_legs")],
+        })
+        _, log, verdict, _ = run_scenario(scenario)
+        assert verdict.passed
+        assert [(e.t, e.event) for e in log.entries[-4:-1]] == [
+            (23.635, "all angle latches engaged"),
+            (23.635, "all angle latches engaged"),
+            (24.635, "wall press complete, unit centered")]
+
     def test_unlatch_flat_requires_engaged_latch(self):
         scenario = build_scenario({
             "name": "premature-unlatch", "type": "dewalop",
@@ -197,6 +213,23 @@ class TestValidate:
             "without '/'",
             "voltage 7.0 V outside characterized range [3.0, 6.0] V",
         ]
+
+    @pytest.mark.parametrize("step, diag", [
+        ({"action": "latch_angle", "angle_deg": 45,
+          "acknowledge_push_force": True},
+         "step 4: latch_angle does not read 'angle_deg'"),
+        ({"action": "exit_pipe", "voltage_V": 3.5},
+         "step 4: exit_pipe does not read 'voltage_V'"),
+        ({"action": "raise_legs", "voltage_V": 9.0},
+         "step 4: raise_legs does not read 'voltage_V'"),
+    ], ids=["latch_angle", "exit_pipe", "raise_legs"])
+    def test_parameter_the_action_does_not_read(self, step, diag):
+        diags = validate({
+            "name": "unread", "type": "dewalop",
+            "pipe": {"inner_diameter_m": 0.800},
+            "steps": [*CANONICAL_STEPS[:3], step],
+        })
+        assert diags == [diag]
 
     def test_unknown_action(self):
         diags = validate({
