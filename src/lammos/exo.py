@@ -118,7 +118,7 @@ def energy_comparison(joint: ExoJoint, timeline: LoadTimeline,
                       lock_at: Optional[float] = None,
                       dt: float = defaults.DEFAULT_DT) -> EnergyComparison:
     """Integrate holding power with and without engaging the lock."""
-    check_lock_at(lock_at, timeline)
+    check_lock_at(lock_at, timeline.end_time)
     unlocked = replace(joint, lock=_housed(joint.lock))
     held = 0.0
     locked = 0.0
@@ -144,9 +144,10 @@ def energy_comparison(joint: ExoJoint, timeline: LoadTimeline,
                             savings=savings, latch_energy=one_shot)
 
 
-def check_lock_at(lock_at: Optional[float], timeline: LoadTimeline) -> None:
-    """Reject a lock time outside the timeline (None never locks)."""
-    if lock_at is not None and not (0.0 <= lock_at <= timeline.end_time):
+def check_lock_at(lock_at: Optional[float], end_time: float) -> None:
+    """Reject a lock time outside a timeline ending at ``end_time`` (None
+    never locks)."""
+    if lock_at is not None and not (0.0 <= lock_at <= end_time):
         raise ValueError("lock_at must fall within the timeline")
 
 
@@ -209,16 +210,25 @@ def comparison_report(name: str, joint: ExoJoint, timeline: LoadTimeline,
 
 def build_joint(raw: dict) -> tuple[ExoJoint, LoadTimeline, Optional[float]]:
     """The joint, timeline and lock time of a type-checked exo document
-    (see ``sequence.parse``); a broken rule raises ValueError."""
-    joint = ExoJoint(
-        motor=defaults.default_motor(),
-        lock=defaults.default_latch_fsm(),
-        supply_voltage=raw.get("supply_voltage_V", defaults.LATCH_VOLTAGE),
-        standby_power=raw.get("standby_power_W", defaults.EXO_STANDBY_POWER),
-    )
-    timeline = LoadTimeline(
-        points=tuple((p["t_s"], p["load_Nm"]) for p in raw["load_timeline"]),
-        end_time=raw["end_time_s"],
-    )
-    check_lock_at(raw.get("lock_at_s"), timeline)
-    return joint, timeline, raw.get("lock_at_s")
+    (see ``sequence.parse``). Broken rules raise one ValueError whose args
+    are the first rule each part breaks: joint, timeline, then lock time."""
+    lock_at, end = raw.get("lock_at_s"), raw["end_time_s"]
+    parts, broken = [], []
+    for make in (
+            lambda: ExoJoint(
+                motor=defaults.default_motor(),
+                lock=defaults.default_latch_fsm(),
+                supply_voltage=raw.get("supply_voltage_V",
+                                       defaults.LATCH_VOLTAGE),
+                standby_power=raw.get("standby_power_W",
+                                      defaults.EXO_STANDBY_POWER)),
+            lambda: LoadTimeline(tuple((p["t_s"], p["load_Nm"])
+                                       for p in raw["load_timeline"]), end),
+            lambda: check_lock_at(lock_at, end)):
+        try:
+            parts.append(make())
+        except ValueError as exc:
+            broken += exc.args
+    if broken:
+        raise ValueError(*broken)
+    return parts[0], parts[1], lock_at

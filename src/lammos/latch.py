@@ -135,7 +135,7 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
     friction = defaults.FLEXNUT_FRICTION_TORQUE
     travel = defaults.TIGHTENING_TRAVEL
     tslot = fsm.tslot_engagement_position
-    breakaway = defaults.BREAKAWAY_FACTOR * defaults.CLAMP_TORQUE
+    breakaway = _loosening_load()
     # States the tip moves through at a constant load: the direction that
     # moves it (clockwise?), the load, and the boundary where the tip is
     # clamped as the exit transition fires.
@@ -308,11 +308,24 @@ def _tightening(line, ramp: float):
     return speed, current, tight
 
 
+def _loosening_load() -> float:
+    """The load of every Loosening step: the breakaway torque."""
+    return defaults.BREAKAWAY_FACTOR * defaults.CLAMP_TORQUE
+
+
 def can_latch(voltage: float) -> bool:
     """True iff a clockwise drive at ``voltage`` can reach Latched: the
     kernel's Tightening rule at full ramp, where the current peaks.
     Raises VoltageRangeError outside the motor's characterized range."""
     return _tightening(motor_line(defaults.MOTOR, voltage), 1.0)[2]
+
+
+def can_unlatch(voltage: float) -> bool:
+    """True iff a counterclockwise drive at ``voltage`` moves the tip out of
+    Latched: the motor turns against the kernel's Loosening load.
+    Raises VoltageRangeError outside the motor's characterized range."""
+    line = motor_line(defaults.MOTOR, voltage)
+    return line_point(defaults.MOTOR, line, _loosening_load())[0] > 0
 
 
 def holds_housed_without_power(fsm: LatchFsm) -> bool:

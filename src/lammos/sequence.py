@@ -34,6 +34,7 @@ from .latch import (
     LatchFsm,
     LatchState,
     can_latch,
+    can_unlatch,
     check_dt,
     run_until,
 )
@@ -59,11 +60,13 @@ class StepSpec:
             raise ValueError(f"lowering angle {angle} deg out of (0, 90)")
         if "voltage_V" in self.parameters:
             voltage = self.parameters["voltage_V"]
+            cw = _ACTIONS[self.action][2] is Direction.CLOCKWISE
             # Raises VoltageRangeError outside the motor's characterized range.
-            latches = can_latch(voltage)
-            if self.action in ("latch_angle", "latch_flat") and not latches:
-                raise ValueError(f"{self.action} at {voltage} V never latches: "
-                                 "the tightening current stays below threshold")
+            if not (can_latch if cw else can_unlatch)(voltage):
+                raise ValueError(f"{self.action} at {voltage} V never " + (
+                    "latches: the tightening current stays below threshold"
+                    if cw else "unlatches: the stall torque stays below the "
+                    "breakaway torque"))
 
 
 def _check_name(name: str) -> None:
@@ -194,15 +197,19 @@ class _StepFailure(Exception):
         self.leg = leg
 
 
-def _drive_latches(run: _Run, which: str, direction: Direction,
-                   voltage: float, stop_state: LatchState, actor: str):
-    """Drive every leg's selected latch to a target state.
+def _drive_latches(run: _Run, which: str, params: dict, actor: str):
+    """Drive every leg's selected latch as ``actor``'s row in ``_ACTIONS``
+    says: clockwise to Latched, counterclockwise to Housed.
 
     Each distinct starting latch is driven once, in leg order (every latch
     is the one mechanism, so legs that start alike end alike). The first
     leg's drive is logged; the clock advances by the longest drive.
     """
-    cmd = DriveCommand(voltage=voltage, direction=direction)
+    direction = _ACTIONS[actor][2]
+    cw = direction is Direction.CLOCKWISE
+    stop_state = LatchState.LATCHED if cw else LatchState.HOUSED
+    cmd = DriveCommand(params.get("voltage_V", defaults.LATCH_VOLTAGE if cw
+                                  else defaults.UNLATCH_VOLTAGE), direction)
     drives: dict[LatchFsm, tuple] = {}
     for leg in run.unit.legs:
         fsm = getattr(leg, which)
@@ -268,9 +275,7 @@ def _do_latch_angle(run: _Run, params: dict):
     for leg in run.unit.legs:
         if leg.hinge_angle != 0.0:
             raise _StepFailure("hinge not perpendicular", leg=leg.leg_id)
-    _drive_latches(run, "angle_latch", Direction.CLOCKWISE,
-                   params.get("voltage_V", defaults.LATCH_VOLTAGE),
-                   LatchState.LATCHED, "latch_angle")
+    _drive_latches(run, "angle_latch", params, "latch_angle")
     run.emit("latch_angle", "all angle latches engaged")
 
 
@@ -286,9 +291,7 @@ def _do_extend_legs(run: _Run, params: dict):
 def _do_latch_flat(run: _Run, params: dict):
     if not run.unit.centered:
         raise _StepFailure("unit not centered; wall press required before latching")
-    _drive_latches(run, "flat_latch", Direction.CLOCKWISE,
-                   params.get("voltage_V", defaults.LATCH_VOLTAGE),
-                   LatchState.LATCHED, "latch_flat")
+    _drive_latches(run, "flat_latch", params, "latch_flat")
     run.emit("latch_flat", "legs integrated into structure")
 
 
@@ -296,9 +299,7 @@ def _do_unlatch_flat(run: _Run, params: dict):
     for leg in run.unit.legs:
         if leg.flat_latch.state is not LatchState.LATCHED:
             raise _StepFailure("flat latch not engaged", leg=leg.leg_id)
-    _drive_latches(run, "flat_latch", Direction.COUNTERCLOCKWISE,
-                   params.get("voltage_V", defaults.UNLATCH_VOLTAGE),
-                   LatchState.HOUSED, "unlatch_flat")
+    _drive_latches(run, "flat_latch", params, "unlatch_flat")
     run.emit("unlatch_flat", "flat latches housed")
 
 
@@ -319,9 +320,7 @@ def _do_unlatch_angle(run: _Run, params: dict):
         if leg.extension != 0.0:
             raise _StepFailure("retract legs before unlatching the hinge",
                                leg=leg.leg_id)
-    _drive_latches(run, "angle_latch", Direction.COUNTERCLOCKWISE,
-                   params.get("voltage_V", defaults.UNLATCH_VOLTAGE),
-                   LatchState.HOUSED, "unlatch_angle")
+    _drive_latches(run, "angle_latch", params, "unlatch_angle")
     run.emit("unlatch_angle", "angle latches housed")
 
 
@@ -333,18 +332,20 @@ def _do_exit_pipe(run: _Run, params: dict):
     run.emit("exit_pipe", "robot outside the pipe")
 
 
-# Every action: its handler and the step parameters it reads.
+# Every action: its handler, the JSON kind (as in ``_SHAPES``) of each step
+# parameter it reads, and the direction a latch action drives.
+_VOLTAGE = {"voltage_V": float}
 _ACTIONS = {
-    "lower_legs": (_do_lower_legs, ("angle_deg",)),
-    "move_into_pipe": (_do_move_into_pipe, ("acknowledge_push_force",)),
-    "raise_legs": (_do_raise_legs, ()),
-    "latch_angle": (_do_latch_angle, ("voltage_V",)),
-    "extend_legs": (_do_extend_legs, ()),
-    "latch_flat": (_do_latch_flat, ("voltage_V",)),
-    "unlatch_flat": (_do_unlatch_flat, ("voltage_V",)),
-    "retract_legs": (_do_retract_legs, ()),
-    "unlatch_angle": (_do_unlatch_angle, ("voltage_V",)),
-    "exit_pipe": (_do_exit_pipe, ()),
+    "lower_legs": (_do_lower_legs, {"angle_deg": float}, None),
+    "move_into_pipe": (_do_move_into_pipe, {"acknowledge_push_force": bool}, None),
+    "raise_legs": (_do_raise_legs, {}, None),
+    "latch_angle": (_do_latch_angle, _VOLTAGE, Direction.CLOCKWISE),
+    "extend_legs": (_do_extend_legs, {}, None),
+    "latch_flat": (_do_latch_flat, _VOLTAGE, Direction.CLOCKWISE),
+    "unlatch_flat": (_do_unlatch_flat, _VOLTAGE, Direction.COUNTERCLOCKWISE),
+    "retract_legs": (_do_retract_legs, {}, None),
+    "unlatch_angle": (_do_unlatch_angle, _VOLTAGE, Direction.COUNTERCLOCKWISE),
+    "exit_pipe": (_do_exit_pipe, {}, None),
 }
 
 
@@ -376,18 +377,19 @@ def run_scenario(scenario: Scenario):
 
 # A document's shape: an object maps its keys to shapes, a one-item list is a
 # list of that shape, and a type (or a tuple of types) is a JSON value; float
-# stands for any finite number.
+# stands for any finite number. A step's keys are those some action reads.
 _COMMON = {"name": str, "type": str, "dt_s": float}
+_STEP_PARAMETERS = {name: kind for _, reads, _ in _ACTIONS.values()
+                    for name, kind in reads.items()}
 _SHAPES = {
     "dewalop": {**_COMMON, "pipe": {"inner_diameter_m": float},
-                "steps": [{"action": str, "angle_deg": float, "voltage_V": float,
-                           "acknowledge_push_force": bool}]},
+                "steps": [{"action": str, **_STEP_PARAMETERS}]},
     "exo": {**_COMMON, "supply_voltage_V": float, "standby_power_W": float,
             "end_time_s": float, "lock_at_s": (float, type(None)),
             "load_timeline": [{"t_s": float, "load_Nm": float}]},
 }
-_OPTIONAL = {"type", "dt_s", "angle_deg", "voltage_V", "acknowledge_push_force",
-             "supply_voltage_V", "standby_power_W", "lock_at_s"}
+_OPTIONAL = {"type", "dt_s", *_STEP_PARAMETERS, "supply_voltage_V",
+             "standby_power_W", "lock_at_s"}
 _KIND_NAMES = {float: "a finite number", str: "a string", bool: "true or false",
                type(None): "null"}
 
@@ -418,11 +420,11 @@ def _shape_errors(value, shape, path: str) -> list[str]:
 
 
 def _build(diags: list[str], prefix: str, make, *args):
-    """``make(*args)``, or None with its ValueError added to ``diags``."""
+    """``make(*args)``, or None with its ValueError's args in ``diags``."""
     try:
         return make(*args)
     except ValueError as exc:
-        diags.append(prefix + str(exc))
+        diags += [prefix + str(arg) for arg in exc.args]
 
 
 def parse(raw: Any, dt: Optional[float] = None):

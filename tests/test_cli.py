@@ -73,6 +73,15 @@ MALFORMED = {
                                          "voltage_V"), ()),
     "unread_parameter": ("run", _with(LATCHING, 45, "steps", 3,
                                       "angle_deg"), ()),
+    # A parameter name has one JSON kind, checked on every action, and a
+    # step key that no action reads is unknown.
+    "unread_bad_kind": ("check", _with(MECHANICAL, [
+        {"action": "exit_pipe", "voltage_V": "3"}], "steps"), ()),
+    "unknown_step_key": ("check", _with(MECHANICAL, [
+        {"action": "exit_pipe", "volts": 3.0}], "steps"), ()),
+    "never_unlatches": ("run", {**LATCHING, "steps": [
+        *LATCHING["steps"], {"action": "latch_flat"},
+        {"action": "unlatch_flat", "voltage_V": 3.5}]}, ()),
     "bad_exo_dt": ("run", {**EXO, "dt_s": -0.001, "lock_at_s": 0.0}, ()),
     "bad_dt_zero": ("run", MECHANICAL, ("--dt", "0")),
     "bad_dt_nan": ("run", MECHANICAL, ("--dt", "nan")),

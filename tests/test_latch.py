@@ -21,6 +21,7 @@ from lammos.latch import (
     LatchStateError,
     LEGAL_EDGES,
     can_latch,
+    can_unlatch,
     holds_housed_without_power,
     run_schedule,
     run_until,
@@ -314,6 +315,16 @@ class TestProperties:
         cmd = DriveCommand(voltage, Direction.CLOCKWISE)
         final, _, _ = run_until(fsm, cmd, 0.005, LatchState.LATCHED)
         assert can_latch(voltage) is (final.state is LatchState.LATCHED)
+
+    @pytest.mark.parametrize("voltage", [3.0, 3.5, 3.88, 3.89, 4.0, 6.0])
+    def test_can_unlatch_matches_drive(self, fsm, voltage):
+        # Below about 3.883 V the stall torque is under the breakaway torque,
+        # and a counterclockwise drive stalls in Loosening.
+        latched, _, _ = full_latch(fsm, 0.005)
+        cmd = DriveCommand(voltage, Direction.COUNTERCLOCKWISE)
+        final, _, _ = run_schedule(latched, [(cmd, 0.5)], 0.005)
+        moved = final.screw_tip_position < latched.screw_tip_position
+        assert can_unlatch(voltage) is moved
 
     def test_single_motor_suffices(self, fsm, monkeypatch):
         # The whole latch cycle is driven by the one MotorSpec in defaults,

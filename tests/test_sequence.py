@@ -1,6 +1,7 @@
 """Scenario engine tests: canonical procedure, ordering, abort, round trip."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from lammos.dewalop import PipeEnvironment, default_unit, leg_load_path
 from lammos.latch import LatchState
 from lammos.sequence import (
+    _ACTIONS,
     Scenario,
     StepSpec,
     parse,
@@ -231,6 +233,28 @@ class TestValidate:
         })
         assert diags == [diag]
 
+    def test_voltage_that_never_unlatches(self):
+        diags = validate({
+            "name": "stalled", "type": "dewalop",
+            "pipe": {"inner_diameter_m": 0.800},
+            "steps": [*CANONICAL_STEPS,
+                      {"action": "unlatch_flat", "voltage_V": 3.5}],
+        })
+        assert diags == [
+            "step 7: unlatch_flat at 3.5 V never unlatches: the stall torque "
+            "stays below the breakaway torque"]
+
+    def test_each_broken_exo_part_reported(self):
+        diags = validate({
+            "name": "broken", "type": "exo", "supply_voltage_V": 9.0,
+            "standby_power_W": -1, "end_time_s": 10, "lock_at_s": 50,
+            "load_timeline": [{"t_s": 0.5, "load_Nm": -1}]})
+        assert diags == [
+            "voltage 9.0 V outside characterized range [3.0, 6.0] V",
+            "loads must be non-negative",
+            "lock_at must fall within the timeline",
+        ]
+
     def test_unknown_action(self):
         diags = validate({
             "name": "odd", "type": "dewalop",
@@ -288,3 +312,24 @@ class TestScenarioTypes:
         _, log, verdict, _ = run_scenario(acknowledged)
         assert verdict.passed
         assert any("manual push 400 N" in e.event for e in log.entries)
+
+
+class TestReadme:
+    def test_action_table_matches_actions(self):
+        # README's action table lists each action once, with exactly the
+        # parameters it reads and the direction it drives.
+        readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| Action | Parameters it reads | Drives |\n")[1]
+        rows = table.split("\n\n")[0].splitlines()[1:]
+        listed = []
+        for row in rows:
+            actions, reads, drives = row.strip("|").split("|")
+            direction = drives.split(",")[0].strip()
+            for action in re.findall(r"`(\w+)`", actions):
+                listed.append((action, set(re.findall(r'"(\w+)"', reads)),
+                               None if direction == "—" else direction))
+        assert sorted(action for action, _, _ in listed) == sorted(_ACTIONS)
+        for action, reads, direction in listed:
+            _, kinds, drive = _ACTIONS[action]
+            assert reads == set(kinds), action
+            assert direction == (drive and drive.value), action
