@@ -12,6 +12,7 @@ import sys
 
 from lammos import defaults
 from lammos.latch import (
+    TRACE_CSV_HEADER,
     Direction,
     DriveCommand,
     LatchState,
@@ -41,10 +42,10 @@ def main():
     for t, event in latch_events + unlatch_events:
         print(f"  t={t:8.3f} s  {event.name}")
 
-    rows = ["t_s,current_A,position_m,state", *latch_trace.csv_rows(),
-            *unlatch_trace.csv_rows()]
     with open(out, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(TRACE_CSV_HEADER + "\n")
+        latch_trace.write_csv(fh)
+        unlatch_trace.write_csv(fh)
     print(f"trace written to {out}")
 
 

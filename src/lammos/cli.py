@@ -18,7 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import defaults, exo, sequence
+from . import defaults, exo, latch, sequence
 from .mechlib import (
     MaterialSpec,
     PlateSpec,
@@ -71,10 +71,10 @@ def _run_dewalop(scenario, out: Path, emit: set[str]) -> int:
     unit, log, verdict, traces = sequence.run_scenario(scenario)
     name = scenario.name
     if "trace" in emit:
-        rows = ["actor,t_s,current_A,position_m,state"]
-        for actor, trace in traces:
-            rows += trace.csv_rows(actor + ",")
-        (out / f"{name}_trace.csv").write_text("\n".join(rows) + "\n")
+        with open(out / f"{name}_trace.csv", "w") as fh:
+            fh.write(f"actor,{latch.TRACE_CSV_HEADER}\n")
+            for actor, trace in traces:
+                trace.write_csv(fh, actor + ",")
     if "log" in emit:
         (out / f"{name}_events.csv").write_text(log.to_csv())
     if "report" in emit:

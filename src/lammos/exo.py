@@ -83,15 +83,15 @@ class LoadTimeline:
 
 
 def hold_power(joint: ExoJoint) -> float:
-    """Electrical power to hold the joint's static load."""
+    """Electrical power to hold the joint's static load: standby when locked."""
+    if joint.locked:
+        return joint.standby_power
     line = motor_line(joint.motor, joint.supply_voltage)
     stall = line[0]
     if joint.load_torque >= stall:
         raise UnholdableLoadError(
             f"load {joint.load_torque:.4f} N*m exceeds stall {stall:.4f} N*m "
             f"at {joint.supply_voltage} V")
-    if joint.locked:
-        return joint.standby_power
     _, current = line_point(joint.motor, line, joint.load_torque)
     return joint.supply_voltage * current
 

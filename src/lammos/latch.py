@@ -27,12 +27,13 @@ from .mechlib import (
 
 MIN_DT = 1e-5          # s; bounds a LATCH_TIMEOUT drive to 1.2e7 steps
 LATCH_TIMEOUT = 120.0  # s of simulated drive per latch action
+TRACE_CSV_HEADER = "t_s,current_A,position_m,state"  # CurrentTrace.write_csv
 
 
 def check_dt(dt: float) -> None:
     """The timestep rule of every drive: finite and at least MIN_DT."""
     if not (MIN_DT <= dt < math.inf):
-        raise ValueError(f"non-positive timestep: dt {dt} s must be finite "
+        raise ValueError(f"timestep out of range: dt {dt} s must be finite "
                          f"and at least {MIN_DT} s")
 
 
@@ -259,16 +260,12 @@ class CurrentTrace:
         return tuple(map(TraceSample, self._times(), self.current,
                          self.position, self.state))
 
-    def csv_rows(self, prefix: str = "") -> list[str]:
-        """One ``t_s,current_A,position_m,state`` row per sample, after
-        ``prefix``; numbers as ``csv_number`` writes them."""
-        return ["%s%.9g,%.9g,%.9g,%s" % (prefix, t, i, x, s.value)
-                for t, i, x, s in zip(self._times(), self.current,
-                                      self.position, self.state)]
-
-    def to_csv(self) -> str:
-        return "\n".join(["t_s,current_A,position_m,state",
-                          *self.csv_rows()]) + "\n"
+    def write_csv(self, fh, prefix: str = "") -> None:
+        """Write one ``TRACE_CSV_HEADER`` row per sample, after ``prefix``,
+        to the open text file ``fh``; numbers as ``csv_number`` writes them."""
+        fh.writelines("%s%.9g,%.9g,%.9g,%s\n" % (prefix, t, i, x, s.value)
+                      for t, i, x, s in zip(self._times(), self.current,
+                                            self.position, self.state))
 
     @property
     def duration(self) -> float:

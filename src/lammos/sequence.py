@@ -201,35 +201,28 @@ def _drive_latches(run: _Run, which: str, params: dict, actor: str):
     """Drive every leg's selected latch as ``actor``'s row in ``_ACTIONS``
     says: clockwise to Latched, counterclockwise to Housed.
 
-    Each distinct starting latch is driven once, in leg order (every latch
-    is the one mechanism, so legs that start alike end alike). The first
-    leg's drive is logged; the clock advances by the longest drive.
+    Every leg's latch of a kind is the one mechanism in one state (all
+    legs start alike and each action sets them alike), so the first leg's
+    latch is driven once and its drive is logged and set on every leg.
     """
     direction = _ACTIONS[actor][2]
     cw = direction is Direction.CLOCKWISE
     stop_state = LatchState.LATCHED if cw else LatchState.HOUSED
     cmd = DriveCommand(params.get("voltage_V", defaults.LATCH_VOLTAGE if cw
                                   else defaults.UNLATCH_VOLTAGE), direction)
-    drives: dict[LatchFsm, tuple] = {}
-    for leg in run.unit.legs:
-        fsm = getattr(leg, which)
-        if fsm not in drives:
-            drives[fsm] = run_until(fsm, cmd, run.scenario.dt, stop_state,
-                                    t0=run.t)
-        if drives[fsm][0].state is not stop_state:
-            raise _StepFailure(
-                f"{which} did not reach {stop_state.value} within "
-                f"{LATCH_TIMEOUT:.0f} s", leg=leg.leg_id)
+    first = run.unit.legs[0]
+    fsm, trace, events = run_until(getattr(first, which), cmd,
+                                   run.scenario.dt, stop_state, t0=run.t)
+    if fsm.state is not stop_state:
+        raise _StepFailure(f"{which} did not reach {stop_state.value} within "
+                           f"{LATCH_TIMEOUT:.0f} s", leg=first.leg_id)
     run.unit = replace(run.unit, legs=tuple(
-        replace(leg, **{which: drives[getattr(leg, which)][0]})
-        for leg in run.unit.legs))
-    _, trace, events = next(iter(drives.values()))
+        replace(leg, **{which: fsm}) for leg in run.unit.legs))
     run.traces.append((actor, trace))
     for t_event, ev in events:
         run.emit(actor, ev.name, t_event)
     # Floored: a drive already at its target takes no step and ends at t0.
-    run.t += max(0.0, *(drive[1].duration - run.t
-                        for drive in drives.values()))
+    run.t += max(0.0, trace.duration - run.t)
 
 
 def _turn_top_legs(run: _Run, angle: float):

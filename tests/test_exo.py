@@ -46,6 +46,10 @@ class TestHoldPower:
                   for f in (0.0, 0.25, 0.5, 0.9)}
         assert powers == {0.1}
 
+    def test_locked_above_stall_draws_standby(self):
+        stall = defaults.default_motor().stall_torque(3.0)
+        assert hold_power(locked_joint(load=1.5 * stall)) == 0.1
+
     def test_unlocked_no_load(self):
         joint = unlocked_joint(0.0)
         assert hold_power(joint) == pytest.approx(

@@ -163,6 +163,18 @@ class TestRoundTrip:
             assert leg.flat_latch.state is LatchState.HOUSED
 
 
+class TestLegsLatchAlike:
+    def test_every_prefix_leaves_each_latch_kind_alike(self):
+        # The engine drives the first leg's latch and sets it on all six.
+        doc = read_doc("roundtrip_800mm.json")
+        for n in range(1, len(doc["steps"]) + 1):
+            unit, _, verdict, _ = run_scenario(build_scenario(
+                {**doc, "steps": doc["steps"][:n]}, 0.01))
+            assert verdict.passed
+            for which in ("angle_latch", "flat_latch"):
+                assert len({getattr(leg, which) for leg in unit.legs}) == 1
+
+
 class TestDeterminism:
     def test_identical_scenarios_identical_logs(self):
         _, log_a, _, _ = run_canonical()
@@ -194,7 +206,7 @@ class TestValidate:
             "pipe": {"inner_diameter_m": 0.800}, "dt_s": 0,
             "steps": CANONICAL_STEPS,
         })
-        assert any("non-positive timestep" in d for d in diags)
+        assert any("timestep out of range" in d for d in diags)
 
     def test_name_and_dt_reported_with_the_pipe(self):
         diags = validate({**read_doc("pipe_out_of_range.json"),
@@ -202,7 +214,7 @@ class TestValidate:
         assert diags == [
             "scenario name '../x' must be non-empty and printable, "
             "without '/'",
-            "non-positive timestep: dt 0 s must be finite and at least "
+            "timestep out of range: dt 0 s must be finite and at least "
             "1e-05 s",
             "pipe out of operating range: 1.2 m not in [0.8, 1.0] m",
         ]
