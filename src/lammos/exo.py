@@ -9,6 +9,7 @@ comes from an actual latch-drive trace so the two modules stay consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Optional
 
 from . import defaults
@@ -17,6 +18,7 @@ from .latch import (
     DriveCommand,
     LatchFsm,
     LatchState,
+    integrate_energy,
     run_until,
 )
 from .mechlib import (
@@ -103,7 +105,8 @@ def latch_energy(joint: ExoJoint, dt: float = defaults.DEFAULT_DT) -> float:
     final, trace, _ = run_until(_housed(joint.lock), cmd, dt, LatchState.LATCHED)
     if final.state is not LatchState.LATCHED:
         raise RuntimeError("lock failed to latch within the simulation window")
-    return trace.energy(lambda t: defaults.LATCH_VOLTAGE, dt)
+    # trace.energy(lambda t: LATCH_VOLTAGE, dt), without the times.
+    return integrate_energy(repeat(defaults.LATCH_VOLTAGE), trace.current, dt)
 
 
 @dataclass(frozen=True)

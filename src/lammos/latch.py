@@ -14,7 +14,10 @@ from __future__ import annotations
 import enum
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate, islice, repeat
+from operator import add, ge, le, mul, neg, sub
 from typing import Callable, Iterable, Optional
 
 from . import defaults
@@ -26,15 +29,20 @@ from .mechlib import (
 )
 
 MIN_DT = 1e-5          # s; bounds a LATCH_TIMEOUT drive to 1.2e7 steps
+MAX_DT = 0.01          # s; a document's coarsest: latch energy within 0.05%
 LATCH_TIMEOUT = 120.0  # s of simulated drive per latch action
 TRACE_CSV_HEADER = "t_s,current_A,position_m,state"  # CurrentTrace.write_csv
 
 
-def check_dt(dt: float) -> None:
-    """The timestep rule of every drive: finite and at least MIN_DT."""
+def check_dt(dt: float, most: float = math.inf) -> None:
+    """The timestep rule of every drive: finite and at least MIN_DT; a
+    document's is also at most ``most`` (MAX_DT)."""
     if not (MIN_DT <= dt < math.inf):
         raise ValueError(f"timestep out of range: dt {dt} s must be finite "
                          f"and at least {MIN_DT} s")
+    if dt > most:
+        raise ValueError(f"timestep out of range: dt {dt} s must be at most "
+                         f"{most} s")
 
 
 class LatchStateError(RuntimeError):
@@ -61,6 +69,12 @@ LEGAL_EDGES = frozenset({
     (LatchState.LOOSENING, LatchState.RETRACTING),
     (LatchState.RETRACTING, LatchState.HOUSED),
 })
+
+
+# The states a clockwise drive acts in; a counterclockwise drive acts in the
+# others, and both act in Latched.
+_CLOCKWISE_STATES = frozenset({LatchState.HOUSED, LatchState.ENGAGING_FLEXNUT,
+                               LatchState.TRAVERSING, LatchState.TIGHTENING})
 
 
 class Direction(enum.Enum):
@@ -128,28 +142,28 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
     pre-step state, then fires at most one transition; after k steps the
     clock reads t0 + k*dt. A segment resolves the motor line on its first
     step that draws current, entry transitions included, so an
-    out-of-range voltage raises only there. Returns (final fsm, trace,
-    timed events).
+    out-of-range voltage raises only there. Steps whose outcome is known
+    in advance run at C level, bit for bit as one step at a time: a
+    constant-load state advances as one run of the loop's own additions up
+    to its exit step, and a step that draws nothing is repeated to the
+    segment's end. Returns (final fsm, trace, timed events).
     """
     motor = defaults.MOTOR
     pitch = defaults.SCREW.thread_pitch
     friction = defaults.FLEXNUT_FRICTION_TORQUE
-    travel = defaults.TIGHTENING_TRAVEL
     tslot = fsm.tslot_engagement_position
     breakaway = _loosening_load()
-    # States the tip moves through at a constant load: the direction that
-    # moves it (clockwise?), the load, and the boundary where the tip is
-    # clamped as the exit transition fires.
+    # States the tip moves through at a constant load: the load, and the
+    # boundary where the tip is clamped as the exit transition fires.
     moves = {
-        LatchState.ENGAGING_FLEXNUT: (True, friction, 0.0,
-                                      LatchState.TRAVERSING,
+        LatchState.ENGAGING_FLEXNUT: (friction, 0.0, LatchState.TRAVERSING,
                                       "crossed-bracket-plane"),
-        LatchState.TRAVERSING: (True, friction, tslot, LatchState.TIGHTENING,
+        LatchState.TRAVERSING: (friction, tslot, LatchState.TIGHTENING,
                                 "reached-tslot"),
-        LatchState.LOOSENING: (False, breakaway, tslot, LatchState.RETRACTING,
+        LatchState.LOOSENING: (breakaway, tslot, LatchState.RETRACTING,
                                "screw-clear-of-tslot"),
         # The spring re-seats the motor against the bracket base.
-        LatchState.RETRACTING: (False, friction, defaults.HOUSED_REST_POSITION,
+        LatchState.RETRACTING: (friction, defaults.HOUSED_REST_POSITION,
                                 LatchState.HOUSED, "housed"),
     }
     state, pos = fsm.state, fsm.screw_tip_position
@@ -171,58 +185,70 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
                              f"t={t0 + len(states) * dt}")
         direction, voltage, line = cmd.direction, cmd.voltage, None
         clockwise = direction is Direction.CLOCKWISE
-        # The constant-load state being driven, with its current, advance
-        # per step, boundary and exit; resolved once per entry.
-        moving = None
-        for _ in range(n):
-            if state is stop_state:
-                break
-            event = None
-            if state is not moving:
-                sample = 0.0
-                if direction is Direction.OFF:
-                    pass  # the screw holds by flexnut friction
-                elif state is LatchState.TIGHTENING:
-                    if clockwise:
-                        line = line or motor_line(motor, voltage)
-                        speed, sample, tight = _tightening(
-                            line, min(1.0, max(0.0, (pos - tslot) / travel)))
-                        if tight:
-                            # LatchFsm's invariant, checked where a per-step
-                            # snapshot would have checked it.
-                            if pos < tslot:
-                                raise ValueError("Latched requires the tip "
-                                                 "at the T-slot nut")
-                            state, event = LatchState.LATCHED, "latched"
-                        else:
-                            pos = pos + speed * pitch * dt
-                elif state is LatchState.LATCHED:
-                    if clockwise:
-                        event = "already-latched"
-                    else:
-                        _, sample = point(breakaway)
-                        state, event = LatchState.LOOSENING, "breakaway"
-                elif state is LatchState.HOUSED:
-                    if clockwise:
-                        _, sample = point(friction)
-                        state, event = LatchState.ENGAGING_FLEXNUT, "engaging"
-                elif moves[state][0] is clockwise:
-                    _, load, limit, exit_state, exit_event = moves[state]
-                    speed, current = point(load)
-                    moving, advance = state, speed * pitch * dt
-            if state is moving and event is None:
-                sample = current
-                if clockwise:
-                    pos = pos + advance
-                    if pos >= limit:
-                        state, pos, event = exit_state, limit, exit_event
+        end = len(states) + n
+        while len(states) < end and state is not stop_state:
+            left, event = end - len(states), None
+            if direction is Direction.OFF or (
+                    state is not LatchState.LATCHED
+                    and clockwise != (state in _CLOCKWISE_STATES)):
+                # No current, no motion, no event (the screw holds by
+                # flexnut friction): the step repeats to the segment's end.
+                currents.extend(repeat(0.0, left))
+                positions.extend(repeat(pos, left))
+                states.extend(repeat(state, left))
+            elif state is LatchState.TIGHTENING:
+                line = line or motor_line(motor, voltage)
+                k, pos, tight = _tighten(line, pos, tslot, left, dt,
+                                         currents, positions)
+                states.extend(repeat(state, k))
+                if tight:
+                    # LatchFsm's invariant, checked where a per-step
+                    # snapshot would have checked it.
+                    if pos < tslot:
+                        raise ValueError("Latched requires the tip "
+                                         "at the T-slot nut")
+                    states[-1] = state = LatchState.LATCHED
+                    event = "latched"
+            elif state in moves:
+                # A run of the loop's own additions up to the exit step as
+                # the gap estimates it (a short run is extended on the next
+                # pass); the exit is the first sample at the limit. A
+                # stalled tip short of its limit runs to the segment's end;
+                # one on or past it exits on its first step.
+                load, limit, exit_state, exit_event = moves[state]
+                speed, current = point(load)
+                advance = speed * pitch * dt
+                gap = limit - pos if clockwise else pos - limit
+                span = (int(min(gap / advance + 3, left))
+                        if gap > 0 and advance > 0 else left if gap > 0 else 1)
+                base = len(positions)
+                positions.extend(islice(accumulate(
+                    repeat(advance, span), add if clockwise else sub,
+                    initial=pos), 1, None))
+                i = (bisect_left(positions, limit, base) if clockwise
+                     else bisect_left(positions, -limit, base, key=neg))
+                pos = positions[-1]
+                if i < len(positions) and (ge if clockwise else le)(
+                        positions[i], limit):
+                    del positions[i + 1:]
+                    positions[i] = pos = limit
+                    event = exit_event
+                currents.extend(repeat(current, len(positions) - base))
+                states.extend(repeat(state, len(positions) - base))
+                if event is not None:
+                    states[-1] = state = exit_state
+            else:  # an entry transition, or a clockwise step when Latched
+                if state is LatchState.HOUSED:
+                    _, sample = point(friction)
+                    state, event = LatchState.ENGAGING_FLEXNUT, "engaging"
+                elif clockwise:
+                    sample, event = 0.0, "already-latched"
                 else:
-                    pos = pos - advance
-                    if pos <= limit:
-                        state, pos, event = exit_state, limit, exit_event
-            currents.append(sample)
-            positions.append(pos)
-            states.append(state)
+                    _, sample = point(breakaway)
+                    state, event = LatchState.LOOSENING, "breakaway"
+                currents.append(sample)
+                positions.append(pos)
+                states.append(state)
             if event is not None:
                 events.append((t0 + len(states) * dt, LatchEvent(event)))
 
@@ -273,8 +299,14 @@ class CurrentTrace:
 
     def energy(self, voltage_for: Callable[[float], float], dt: float) -> float:
         """Integrate V*I*dt over the trace given a t -> V lookup."""
-        return sum(voltage_for(t) * current * dt
-                   for t, current in zip(self._times(), self.current))
+        return integrate_energy(map(voltage_for, self._times()),
+                                self.current, dt)
+
+
+def integrate_energy(volts: Iterable[float], currents: Iterable[float],
+                     dt: float) -> float:
+    """The sum of V*I*dt over paired voltages and currents, taken in C."""
+    return sum(map(mul, map(mul, volts, currents), repeat(dt)))
 
 
 def run_schedule(fsm: LatchFsm, schedule: Iterable[tuple[DriveCommand, float]],
@@ -295,14 +327,36 @@ def run_until(fsm: LatchFsm, cmd: DriveCommand, dt: float,
                   stop_state)
 
 
-def _tightening(line, ramp: float):
-    """A Tightening step on motor ``line`` at ``ramp`` (0 at the nut face,
-    1 at full clamp): (speed, current, whether the current latches)."""
+def _tighten(line, pos: float, tslot: float, n: int, dt: float,
+             currents, positions):
+    """Up to ``n`` clockwise Tightening steps on motor ``line`` from tip
+    position ``pos``, appending each step's current and position; the step
+    whose current reaches the threshold latches instead of moving. Returns
+    (steps taken, final position, whether the last step latched)."""
+    stall, free, i_stall = line
+    i_0 = defaults.MOTOR.no_load_current
     friction = defaults.FLEXNUT_FRICTION_TORQUE
-    load = friction + (defaults.CLAMP_TORQUE - friction) * ramp
-    speed, current = line_point(defaults.MOTOR, line, load)
-    tight = current >= defaults.TIGHTENING_CURRENT_THRESHOLD * line[2]
-    return speed, current, tight
+    clamp_span, slope = defaults.CLAMP_TORQUE - friction, i_stall - i_0
+    travel, pitch = defaults.TIGHTENING_TRAVEL, defaults.SCREW.thread_pitch
+    latch_current = defaults.TIGHTENING_CURRENT_THRESHOLD * i_stall
+    add_current, add_position = currents.append, positions.append
+    for k in range(1, n + 1):
+        # The motor line (mechlib.line_point) at a load ramping from
+        # friction to the clamp torque over the tightening travel; each
+        # conditional is the min or max it replaces, NaN and -0.0 included.
+        ramp = (pos - tslot) / travel
+        ramp = 0.0 if not ramp > 0.0 else ramp if ramp < 1.0 else 1.0
+        frac = (friction + clamp_span * ramp) / stall
+        current = i_0 + slope * frac
+        current = current if current < i_stall else i_stall
+        add_current(current)
+        if current >= latch_current:
+            add_position(pos)
+            return k, pos, True
+        speed = free * (1.0 - frac)
+        pos = pos + (speed if speed > 0.0 else 0.0) * pitch * dt
+        add_position(pos)
+    return n, pos, False
 
 
 def _loosening_load() -> float:
@@ -314,7 +368,9 @@ def can_latch(voltage: float) -> bool:
     """True iff a clockwise drive at ``voltage`` can reach Latched: the
     kernel's Tightening rule at full ramp, where the current peaks.
     Raises VoltageRangeError outside the motor's characterized range."""
-    return _tightening(motor_line(defaults.MOTOR, voltage), 1.0)[2]
+    # A tip past the whole travel sits at full ramp.
+    return _tighten(motor_line(defaults.MOTOR, voltage), math.inf, 0.0, 1,
+                    0.0, [], [])[2]
 
 
 def can_unlatch(voltage: float) -> bool:

@@ -28,6 +28,7 @@ from .dewalop import (
 )
 from .latch import (
     LATCH_TIMEOUT,
+    MAX_DT,
     CurrentTrace,
     Direction,
     DriveCommand,
@@ -94,7 +95,7 @@ class Scenario:
     def __post_init__(self):
         _check_steps(self.steps)
         _check_name(self.name)
-        check_dt(self.dt)
+        check_dt(self.dt, MAX_DT)
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ class ExoScenario:
 
     def __post_init__(self):
         _check_name(self.name)
-        check_dt(self.dt)
+        check_dt(self.dt, MAX_DT)
 
 
 @dataclass(frozen=True)
@@ -438,7 +439,7 @@ def parse(raw: Any, dt: Optional[float] = None):
     dt = raw.get("dt_s", defaults.DEFAULT_DT) if dt is None else dt
     diags: list[str] = []
     _build(diags, "", _check_name, raw["name"])
-    _build(diags, "", check_dt, dt)
+    _build(diags, "", check_dt, dt, MAX_DT)
     if kind == "exo":
         from . import exo
         make, parts = ExoScenario, _build(diags, "", exo.build_joint, raw)

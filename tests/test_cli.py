@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lammos import latch
+from lammos import defaults, latch
 from lammos.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -85,6 +85,7 @@ MALFORMED = {
     "bad_exo_dt": ("run", {**EXO, "dt_s": -0.001, "lock_at_s": 0.0}, ()),
     "bad_dt_zero": ("run", MECHANICAL, ("--dt", "0")),
     "bad_dt_nan": ("run", MECHANICAL, ("--dt", "nan")),
+    "dt_above_max": ("run", {**EXO, "dt_s": 0.010000000000000002}, ()),
     "bad_name_path": ("run", _with(MECHANICAL, "../escape", "name"), ()),
 }
 
@@ -142,11 +143,29 @@ class TestRun:
         body = (tmp_path / "exo-hold-600s_report.txt").read_text()
         assert "locking pays off" in body
 
-    def test_exo_lock_that_never_latches_exits_one(self, tmp_path, capsys):
+    def test_exo_lock_that_never_latches_exits_one(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # At 3 V the clamp torque stays below stall, so the current never
+        # reaches the full stall current.
+        monkeypatch.setattr(defaults, "TIGHTENING_CURRENT_THRESHOLD", 1.0)
         code = run_cli("run", "--config", str(SCENARIOS / "exo_hold_600s.json"),
-                       "--out", str(tmp_path), "--dt", "60")
+                       "--out", str(tmp_path), "--dt", "0.01")
         assert code == 1
         assert "lock failed to latch" in capsys.readouterr().err
+
+    def test_max_dt_is_inclusive(self, tmp_path, capsys):
+        config = str(SCENARIOS / "exo_hold_600s.json")
+        assert run_cli("run", "--config", config, "--out", str(tmp_path),
+                       "--dt", repr(latch.MAX_DT)) == 0
+
+    @pytest.mark.parametrize("dt", ["0.010000000000000002", "10"])
+    def test_dt_above_max_exits_two(self, dt, tmp_path, capsys):
+        code = run_cli("run", "--config", str(SCENARIOS / "exo_hold_600s.json"),
+                       "--out", str(tmp_path), "--dt", dt)
+        assert code == 2
+        assert (f"timestep out of range: dt {float(dt)} s must be at most "
+                "0.01 s") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_rerun_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -16,7 +16,8 @@ from lammos.exo import (
     latch_energy,
     lock_structural_check,
 )
-from lammos.latch import LatchState
+from lammos.latch import (Direction, DriveCommand, LatchFsm, LatchState,
+                          run_until)
 
 DT = 0.005
 
@@ -137,6 +138,16 @@ class TestEnergyComparison:
 
     def test_latch_energy_positive(self):
         assert latch_energy(unlocked_joint(), dt=DT) > 0.0
+
+    @pytest.mark.parametrize("dt", [DT, 1e-3])
+    def test_latch_energy_is_the_trace_energy_bit_for_bit(self, dt):
+        _, trace, _ = run_until(LatchFsm(), DriveCommand(3.0,
+                                                         Direction.CLOCKWISE),
+                                dt, LatchState.LATCHED)
+        # Both equal the per-sample sum of V*I*dt, in that order.
+        reference = sum(3.0 * current * dt for current in trace.current)
+        assert (latch_energy(unlocked_joint(), dt).hex()
+                == trace.energy(lambda t: 3.0, dt).hex() == reference.hex())
 
 
 class TestAutoLock:

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lammos import defaults
+from lammos import defaults, latch
 from lammos.latch import (
     Direction,
     DriveCommand,
@@ -308,3 +308,125 @@ def test_no_voltage_check_where_no_current_is_drawn():
                                     0.01)
         assert final is fsm
         assert all(s.current == 0.0 for s in trace.samples)
+
+
+# -- runs, holds and Tightening of the kernel ---------------------------------
+
+def ref_drive(fsm, segments, dt, t0=0.0, stop_state=None):
+    """The reference fold over (command, step count) segments, stopping on
+    entry to ``stop_state``, as ``latch._drive`` replays them."""
+    samples, events = [], []
+    for cmd, n in segments:
+        fsm = _ref_fold(fsm, cmd, dt, t0, n, samples, events, stop_state)
+    return fsm, SimpleNamespace(samples=tuple(samples)), events
+
+
+REST = defaults.HOUSED_REST_POSITION
+TIGHT = TSLOT + defaults.TIGHTENING_TRAVEL
+# The tip positions each state allows, as closed ranges.
+_RANGES = {
+    LatchState.HOUSED: (REST - 1e-3, -1e-9),
+    LatchState.ENGAGING_FLEXNUT: (REST, 0.0),
+    LatchState.TRAVERSING: (0.0, TSLOT),
+    LatchState.TIGHTENING: (TSLOT, TIGHT),
+    LatchState.LATCHED: (TSLOT, TIGHT),
+    LatchState.LOOSENING: (TSLOT, TIGHT),
+    LatchState.RETRACTING: (REST, TSLOT),
+}
+
+
+@st.composite
+def any_start_states(draw):
+    """A snapshot in any of the seven states, often on a boundary."""
+    state = draw(st.sampled_from(list(LatchState)))
+    lo, hi = _RANGES[state]
+    pos = draw(st.sampled_from([lo, hi]) | st.floats(min_value=lo,
+                                                       max_value=hi))
+    return dataclasses.replace(FSM, state=state, screw_tip_position=pos)
+
+
+@st.composite
+def near_exit_states(draw):
+    """A snapshot in any state, within 1.5 mm of the end of its range that
+    its drive moves toward."""
+    state = draw(st.sampled_from(list(LatchState)))
+    lo, hi = _RANGES[state]
+    d = draw(st.floats(min_value=0.0, max_value=1.5e-3))
+    pos = max(lo, hi - d) if state in _LATCHING_STATES else min(hi, lo + d)
+    return dataclasses.replace(FSM, state=state, screw_tip_position=pos)
+
+
+drive_segments = st.lists(st.tuples(commands,
+                                   st.integers(min_value=0, max_value=1500)),
+                          max_size=4)
+
+
+def _transition_steps(fsm, cmd, dt, steps):
+    """The steps (1-based) at which the reference changes state."""
+    samples = ref_drive(fsm, [(cmd, steps)], dt)[1].samples
+    return [k for k, (a, b) in enumerate(
+        zip([fsm.state] + [s.state for s in samples],
+            [s.state for s in samples]), 1) if a is not b]
+
+
+OFF = DriveCommand(0.0, Direction.OFF)
+CCW32 = DriveCommand(3.2, Direction.COUNTERCLOCKWISE)
+AT_TSLOT = dataclasses.replace(FSM, state=LatchState.LATCHED,
+                               screw_tip_position=TSLOT)
+
+
+class TestDrive:
+    @given(fsm=any_start_states(), segments=drive_segments, dt=dts,
+           stop=st.none() | st.sampled_from(list(LatchState)),
+           t0=st.sampled_from([0.0, 17.5]))
+    # A stalled Loosening already on its limit exits on its first step.
+    @example(fsm=AT_TSLOT, segments=[(OFF, 500), (CCW32, 2)], dt=1e-3,
+             stop=LatchState.HOUSED, t0=0.0)
+    # Holds: long OFF and wrong-direction segments in each direction.
+    @example(fsm=LATCHED, segments=[(OFF, 500), (CW3, 400), (CCW6, 3),
+                                    (CW3, 700), (OFF, 2)],
+             dt=1e-3, stop=None, t0=17.5)
+    @example(fsm=FSM, segments=[(CCW6, 900), (CW3, 5), (OFF, 300),
+                                (CCW6, 50)],
+             dt=5e-3, stop=LatchState.LATCHED, t0=0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_fold(self, fsm, segments, dt, stop, t0):
+        assert (outcome(lambda: latch._drive(fsm, segments, dt, t0, stop))
+                == outcome(lambda: ref_drive(fsm, segments, dt, t0, stop)))
+
+    def test_stalled_phase_on_its_limit_exits_at_once(self):
+        final, _, events = latch._drive(AT_TSLOT, [(OFF, 500), (CCW32, 2)],
+                                        1e-3, 0.0, LatchState.HOUSED)
+        assert (final.state, final.screw_tip_position) == (
+            LatchState.RETRACTING, TSLOT)
+        assert [e.name for _, e in events] == ["breakaway",
+                                               "screw-clear-of-tslot"]
+
+    @given(fsm=near_exit_states(), voltage=st.floats(min_value=3.0,
+                                                     max_value=6.0),
+           then=commands, dt=st.floats(min_value=2e-3, max_value=5e-3))
+    @example(fsm=FSM, voltage=3.0, then=CW3, dt=5e-3)
+    @example(fsm=LATCHED, voltage=6.0, then=OFF, dt=5e-3)
+    @settings(max_examples=25, deadline=None)
+    def test_segment_cut_at_each_exit_step(self, fsm, voltage, then, dt):
+        # A segment that drives the way the state moves and ends at a
+        # transition's step k, one before it or one after it, followed by
+        # a second command.
+        cmd = DriveCommand(voltage, Direction.CLOCKWISE
+                           if fsm.state in _LATCHING_STATES
+                           else Direction.COUNTERCLOCKWISE)
+        for k in _transition_steps(fsm, cmd, dt, 400)[:4]:
+            for n in (k - 1, k, k + 1):
+                drive = [(cmd, n), (then, 40)]
+                assert (outcome(lambda: latch._drive(fsm, drive, dt, 0.0))
+                        == outcome(lambda: ref_drive(fsm, drive, dt)))
+
+    def test_slow_unlatch_times_out_as_the_reference(self):
+        # At 3.95 V the latch breaks free but does not reach Housed within
+        # LATCH_TIMEOUT.
+        cmd = DriveCommand(3.95, Direction.COUNTERCLOCKWISE)
+        result = outcome(lambda: run_until(LATCHED, cmd, 5e-3,
+                                           LatchState.HOUSED))
+        assert result == outcome(lambda: ref_run_until(
+            LATCHED, cmd, 5e-3, LatchState.HOUSED))
+        assert len(result[2]) == round(latch.LATCH_TIMEOUT / 5e-3)

@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from lammos.dewalop import PipeEnvironment, default_unit, leg_load_path
-from lammos.latch import LatchState
+from lammos import exo
+from lammos.latch import MAX_DT, LatchState
 from lammos.sequence import (
     _ACTIONS,
+    ExoScenario,
     Scenario,
     StepSpec,
     parse,
@@ -207,6 +209,25 @@ class TestValidate:
             "steps": CANONICAL_STEPS,
         })
         assert any("timestep out of range" in d for d in diags)
+
+    def test_timestep_bound_is_inclusive(self):
+        doc = {"name": "coarse", "type": "dewalop",
+               "pipe": {"inner_diameter_m": 0.800}, "steps": CANONICAL_STEPS}
+        assert validate({**doc, "dt_s": MAX_DT}) == []
+        assert validate({**doc, "dt_s": 0.010000000000000002}) == [
+            "timestep out of range: dt 0.010000000000000002 s must be at "
+            "most 0.01 s"]
+
+    def test_configs_reject_a_timestep_above_max(self):
+        joint, timeline, lock_at = exo.build_joint(
+            read_doc("exo_hold_600s.json"))
+        for make in (lambda dt: Scenario("coarse", PipeEnvironment(0.8),
+                                         (StepSpec("lower_legs"),), dt),
+                     lambda dt: ExoScenario("coarse", joint, timeline,
+                                            lock_at, dt)):
+            make(MAX_DT)
+            with pytest.raises(ValueError, match="must be at most 0.01 s"):
+                make(0.02)
 
     def test_name_and_dt_reported_with_the_pipe(self):
         diags = validate({**read_doc("pipe_out_of_range.json"),
