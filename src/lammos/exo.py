@@ -9,7 +9,6 @@ comes from an actual latch-drive trace so the two modules stay consistent.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Optional
 
 from . import defaults
@@ -18,7 +17,6 @@ from .latch import (
     DriveCommand,
     LatchFsm,
     LatchState,
-    integrate_energy,
     run_until,
 )
 from .mechlib import (
@@ -105,8 +103,8 @@ def latch_energy(joint: ExoJoint, dt: float = defaults.DEFAULT_DT) -> float:
     final, trace, _ = run_until(_housed(joint.lock), cmd, dt, LatchState.LATCHED)
     if final.state is not LatchState.LATCHED:
         raise RuntimeError("lock failed to latch within the simulation window")
-    # trace.energy(lambda t: LATCH_VOLTAGE, dt), without the times.
-    return integrate_energy(repeat(defaults.LATCH_VOLTAGE), trace.current, dt)
+    # trace.energy(lambda t: LATCH_VOLTAGE, dt), from the trace's runs.
+    return trace.energy_at(defaults.LATCH_VOLTAGE)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,10 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, repeat
-from operator import add, ge, le, mul, neg, sub
-from typing import Callable, Iterable, Optional
+from itertools import accumulate, chain, islice, repeat
+from operator import add, ge, le, mul
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from . import defaults
 from .mechlib import (
@@ -107,6 +106,8 @@ class LatchFsm:
         default_factory=lambda: defaults.HOUSED_REST_POSITION)
 
     def __post_init__(self):
+        if not math.isfinite(self.screw_tip_position):
+            raise ValueError("the screw tip position must be finite")
         if self.state is LatchState.HOUSED and self.screw_tip_position >= 0:
             raise ValueError("Housed requires the tip above the bracket plane")
         if (self.state is LatchState.LATCHED
@@ -142,11 +143,11 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
     pre-step state, then fires at most one transition; after k steps the
     clock reads t0 + k*dt. A segment resolves the motor line on its first
     step that draws current, entry transitions included, so an
-    out-of-range voltage raises only there. Steps whose outcome is known
-    in advance run at C level, bit for bit as one step at a time: a
-    constant-load state advances as one run of the loop's own additions up
-    to its exit step, and a step that draws nothing is repeated to the
-    segment's end. Returns (final fsm, trace, timed events).
+    out-of-range voltage raises only there. The drive is recorded as runs
+    (see ``Run``), bit for bit the samples of one step at a time: a step
+    that draws nothing is held to the segment's end, and a constant-load
+    state advances to its exit step as found by ``_fold``, without
+    generating its positions. Returns (final fsm, trace, timed events).
     """
     motor = defaults.MOTOR
     pitch = defaults.SCREW.thread_pitch
@@ -167,8 +168,9 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
                                 LatchState.HOUSED, "housed"),
     }
     state, pos = fsm.state, fsm.screw_tip_position
-    currents, positions, states = array("d"), array("d"), []
+    runs: list[Run] = []
     events: list[tuple[float, LatchEvent]] = []
+    steps = 0
     line = voltage = None
 
     def point(load):  # checks as motor_operating_point: load, then voltage
@@ -182,79 +184,149 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
     for cmd, n in segments:
         if n is None:
             raise ValueError("non-positive segment duration at "
-                             f"t={t0 + len(states) * dt}")
+                             f"t={t0 + steps * dt}")
         direction, voltage, line = cmd.direction, cmd.voltage, None
         clockwise = direction is Direction.CLOCKWISE
-        end = len(states) + n
-        while len(states) < end and state is not stop_state:
-            left, event = end - len(states), None
+        end = steps + n
+        while steps < end and state is not stop_state:
+            left, event = end - steps, None
             if direction is Direction.OFF or (
                     state is not LatchState.LATCHED
                     and clockwise != (state in _CLOCKWISE_STATES)):
                 # No current, no motion, no event (the screw holds by
                 # flexnut friction): the step repeats to the segment's end.
-                currents.extend(repeat(0.0, left))
-                positions.extend(repeat(pos, left))
-                states.extend(repeat(state, left))
+                run = Run(left, state, 0.0, pos, None, pos, state)
             elif state is LatchState.TIGHTENING:
                 line = line or motor_line(motor, voltage)
-                k, pos, tight = _tighten(line, pos, tslot, left, dt,
+                currents, positions = array("d"), array("d")
+                k, tip, tight = _tighten(line, pos, tslot, left, dt,
                                          currents, positions)
-                states.extend(repeat(state, k))
                 if tight:
                     # LatchFsm's invariant, checked where a per-step
                     # snapshot would have checked it.
-                    if pos < tslot:
+                    if tip < tslot:
                         raise ValueError("Latched requires the tip "
                                          "at the T-slot nut")
-                    states[-1] = state = LatchState.LATCHED
                     event = "latched"
+                run = Run(k, state, currents, positions, None, tip,
+                          LatchState.LATCHED if tight else state)
             elif state in moves:
-                # A run of the loop's own additions up to the exit step as
-                # the gap estimates it (a short run is extended on the next
-                # pass); the exit is the first sample at the limit. A
-                # stalled tip short of its limit runs to the segment's end;
-                # one on or past it exits on its first step.
                 load, limit, exit_state, exit_event = moves[state]
                 speed, current = point(load)
                 advance = speed * pitch * dt
-                gap = limit - pos if clockwise else pos - limit
-                span = (int(min(gap / advance + 3, left))
-                        if gap > 0 and advance > 0 else left if gap > 0 else 1)
-                base = len(positions)
-                positions.extend(islice(accumulate(
-                    repeat(advance, span), add if clockwise else sub,
-                    initial=pos), 1, None))
-                i = (bisect_left(positions, limit, base) if clockwise
-                     else bisect_left(positions, -limit, base, key=neg))
-                pos = positions[-1]
-                if i < len(positions) and (ge if clockwise else le)(
-                        positions[i], limit):
-                    del positions[i + 1:]
-                    positions[i] = pos = limit
-                    event = exit_event
-                currents.extend(repeat(current, len(positions) - base))
-                states.extend(repeat(state, len(positions) - base))
-                if event is not None:
-                    states[-1] = state = exit_state
+                # The loop subtracts counterclockwise; adding the negated
+                # advance is the same IEEE operation, bit for bit.
+                delta = advance if clockwise else -advance
+                k, tip, reached = _fold(pos, delta, limit, left, clockwise)
+                if reached:
+                    tip, event = limit, exit_event
+                run = Run(k, state, current, pos, delta, tip,
+                          exit_state if reached else state)
             else:  # an entry transition, or a clockwise step when Latched
+                after = state
                 if state is LatchState.HOUSED:
                     _, sample = point(friction)
-                    state, event = LatchState.ENGAGING_FLEXNUT, "engaging"
+                    after, event = LatchState.ENGAGING_FLEXNUT, "engaging"
                 elif clockwise:
                     sample, event = 0.0, "already-latched"
                 else:
                     _, sample = point(breakaway)
-                    state, event = LatchState.LOOSENING, "breakaway"
-                currents.append(sample)
-                positions.append(pos)
-                states.append(state)
+                    after, event = LatchState.LOOSENING, "breakaway"
+                run = Run(1, after, sample, pos, None, pos, after)
+            runs.append(run)
+            steps += run.n
+            state, pos = run.end_state, run.end
             if event is not None:
-                events.append((t0 + len(states) * dt, LatchEvent(event)))
+                events.append((t0 + steps * dt, LatchEvent(event)))
 
     if state is not fsm.state or pos is not fsm.screw_tip_position:
         fsm = LatchFsm(state, pos)
-    return fsm, CurrentTrace(t0, dt, currents, positions, states), events
+    return fsm, CurrentTrace(t0, dt, tuple(runs)), events
+
+
+def _fold(pos: float, delta: float, limit: float, n: int,
+          clockwise: bool) -> tuple[int, float, bool]:
+    """Up to ``n`` of the loop's steps ``pos = pos + delta``, stopping at the
+    first result at or past ``limit`` (``>=`` clockwise, ``<=`` counter-
+    clockwise). Returns (steps taken, last result, whether it reached the
+    limit), bit for bit the per-step fold, sign of zero included.
+
+    A binade holds the floats of one sign and exponent, an ulp u apart.
+    While a step starts on that grid and its exact result stays inside the
+    binade, rounding adds the same multiple d of u at every grid point, so
+    after j more such steps the tip is exactly r + j*d: the exit step and
+    the binade's edge are found by division and confirmed with that exact
+    expression. On an exact tie (|delta| - |d| is u/2) round-half-even
+    makes d depend on the tip's last bit, but not once the tip is even,
+    as a tie leaves it. Real additions take the steps that measure d,
+    leave a binade or cross zero, and a tie from an odd tip; a step that
+    does not move the tip stalls it to the segment's end.
+    """
+    reached = ge if clockwise else le
+    k = 0
+    while k < n:
+        r = pos + delta
+        k += 1
+        if reached(r, limit):
+            return k, r, True
+        if r == pos:  # every later step repeats this one
+            return n, r, False
+        u = math.ulp(r)
+        if pos * r > 0 and math.ulp(pos) == u:
+            d = r - pos  # exact within a binade
+            big, step = int(abs(r) / u), int(abs(d) / u)  # exact integers
+            if step % 2 == 0 or abs(abs(delta) - abs(d)) * 2 != u:
+                # Whole steps left inside [2**52 u, 2**53 u), one ulp
+                # clear of the edge the tip moves toward.
+                room = (2 ** 53 - 1 - big if (r > 0) == clockwise
+                        else big - 2 ** 52 - 1) // step
+                room = min(room, n - k)
+                if room > 0:
+                    if reached(r + room * d, limit):
+                        j = min(room, max(1, math.ceil((limit - r) / d)))
+                        while j > 1 and reached(r + (j - 1) * d, limit):
+                            j -= 1
+                        while not reached(r + j * d, limit):
+                            j += 1
+                        return k + j, r + j * d, True
+                    k += room
+                    r = r + room * d
+        pos = r
+    return n, pos, False
+
+
+class Run(NamedTuple):
+    """``n`` consecutive samples of a drive in ``state``, the last of them at
+    tip position ``end`` in ``end_state`` (an exit transition clamps the tip
+    and fires there). A sample's current is ``current``, or an array of each
+    sample's; its tip position is ``start`` held (``delta`` None),
+    ``start`` plus the loop's own additions of ``delta``, or an array of
+    each sample's (Tightening)."""
+
+    n: int
+    state: LatchState
+    current: Union[float, array]
+    start: Union[float, array]
+    delta: Optional[float]
+    end: float
+    end_state: LatchState
+
+    def currents(self) -> Iterable[float]:
+        current = self.current
+        return current if isinstance(current, array) else repeat(current,
+                                                                 self.n)
+
+    def positions(self) -> Iterable[float]:
+        n, start, delta = self.n, self.start, self.delta
+        if isinstance(start, array):
+            return start
+        if delta is None:
+            return repeat(start, n)
+        return chain(islice(accumulate(repeat(delta, n - 1), add,
+                                       initial=start), 1, None), (self.end,))
+
+    def states(self) -> Iterable[LatchState]:
+        return chain(repeat(self.state, self.n - 1), (self.end_state,))
 
 
 @dataclass(frozen=True)
@@ -267,46 +339,75 @@ class TraceSample:
 
 @dataclass(frozen=True)
 class CurrentTrace:
-    """A drive's samples as columns: sample k (0-based) ends step k + 1, at
-    t0 + (k + 1)*dt, and ``state`` holds LatchState members."""
+    """A drive's samples as its runs (see ``Run``): sample k (0-based) ends
+    step k + 1, at t0 + (k + 1)*dt. The columns ``current``, ``position``
+    and ``state`` (LatchState members) are built from the runs on access."""
 
     t0: float
     dt: float
-    current: array
-    position: array
-    state: list
+    runs: tuple[Run, ...]
+
+    @property
+    def steps(self) -> int:
+        return sum(run.n for run in self.runs)
 
     def _times(self):
         t0, dt = self.t0, self.dt
-        return (t0 + k * dt for k in range(1, len(self.state) + 1))
+        return (t0 + k * dt for k in range(1, self.steps + 1))
+
+    def _currents(self):
+        return chain.from_iterable(run.currents() for run in self.runs)
+
+    def _positions(self):
+        return chain.from_iterable(run.positions() for run in self.runs)
+
+    def _states(self):
+        return chain.from_iterable(run.states() for run in self.runs)
+
+    @property
+    def current(self) -> array:
+        return array("d", self._currents())
+
+    @property
+    def position(self) -> array:
+        return array("d", self._positions())
+
+    @property
+    def state(self) -> list:
+        return list(self._states())
 
     @property
     def samples(self) -> tuple[TraceSample, ...]:
         """The samples as frozen TraceSamples, built on each access."""
-        return tuple(map(TraceSample, self._times(), self.current,
-                         self.position, self.state))
+        return tuple(map(TraceSample, self._times(), self._currents(),
+                         self._positions(), self._states()))
 
     def write_csv(self, fh, prefix: str = "") -> None:
         """Write one ``TRACE_CSV_HEADER`` row per sample, after ``prefix``,
         to the open text file ``fh``; numbers as ``csv_number`` writes them."""
         fh.writelines("%s%.9g,%.9g,%.9g,%s\n" % (prefix, t, i, x, s.value)
-                      for t, i, x, s in zip(self._times(), self.current,
-                                            self.position, self.state))
+                      for t, i, x, s in zip(self._times(), self._currents(),
+                                            self._positions(), self._states()))
 
     @property
     def duration(self) -> float:
-        return self.t0 + len(self.state) * self.dt
+        return self.t0 + self.steps * self.dt
 
     def energy(self, voltage_for: Callable[[float], float], dt: float) -> float:
         """Integrate V*I*dt over the trace given a t -> V lookup."""
-        return integrate_energy(map(voltage_for, self._times()),
-                                self.current, dt)
+        return sum(map(mul, map(mul, map(voltage_for, self._times()),
+                                self._currents()), repeat(dt)))
 
-
-def integrate_energy(volts: Iterable[float], currents: Iterable[float],
-                     dt: float) -> float:
-    """The sum of V*I*dt over paired voltages and currents, taken in C."""
-    return sum(map(mul, map(mul, volts, currents), repeat(dt)))
+    def energy_at(self, voltage: float) -> float:
+        """``energy(lambda t: voltage, dt)`` bit for bit, with the trace's
+        own dt: the same terms under one ``sum()``, a constant-current
+        run's as one repeated term."""
+        dt = self.dt
+        return sum(chain.from_iterable(
+            map(mul, map(mul, repeat(voltage), run.current), repeat(dt))
+            if isinstance(run.current, array)
+            else repeat(voltage * run.current * dt, run.n)
+            for run in self.runs))
 
 
 def run_schedule(fsm: LatchFsm, schedule: Iterable[tuple[DriveCommand, float]],

@@ -430,3 +430,102 @@ class TestDrive:
         assert result == outcome(lambda: ref_run_until(
             LATCHED, cmd, 5e-3, LatchState.HOUSED))
         assert len(result[2]) == round(latch.LATCH_TIMEOUT / 5e-3)
+
+
+# -- the closed-form fold of a constant-load phase ----------------------------
+
+def plain_fold(pos, advance, limit, n, clockwise):
+    """The loop's own fold, one ``+=`` or ``-=`` at a time, stopping at the
+    first result at or past ``limit``."""
+    for k in range(1, n + 1):
+        if clockwise:
+            pos += advance
+            if pos >= limit:
+                return k, pos, True
+        else:
+            pos -= advance
+            if pos <= limit:
+                return k, pos, True
+    return n, pos, False
+
+
+def closed_fold(pos, advance, limit, n, clockwise):
+    return latch._fold(pos, advance if clockwise else -advance, limit, n,
+                       clockwise)
+
+
+@st.composite
+def free_folds(draw):
+    """A start within 1.5 phase lengths of zero either side, so that runs
+    cross binades and zero in both directions."""
+    advance = draw(st.floats(min_value=1e-12, max_value=1e-3)
+                   | st.integers(1, 64).map(lambda k: k * 2.0 ** -30))
+    n = draw(st.just(1) | st.integers(min_value=1, max_value=5000))
+    span = n * advance
+    start = draw(st.sampled_from([0.0, -0.0])
+                 | st.floats(min_value=-1.5, max_value=1.5).map(
+                     lambda f: f * span))
+    return start, advance, n
+
+
+@st.composite
+def tie_folds(draw):
+    """A start on the grid of a binade (often near its edges) and an advance
+    that is an odd number of half ulps there: every step is an exact tie."""
+    exponent = draw(st.integers(min_value=-40, max_value=10))
+    u = math.ldexp(1.0, exponent - 52)
+    m = draw(st.integers(0, 5000) | st.integers(2 ** 52 - 5000, 2 ** 52 - 1)
+             | st.integers(0, 2 ** 52 - 1))
+    start = draw(st.sampled_from([1.0, -1.0])) * (math.ldexp(1.0, exponent)
+                                                   + m * u)
+    advance = (draw(st.integers(0, 1000)) + 0.5) * u
+    n = draw(st.just(1) | st.integers(min_value=1, max_value=5000))
+    return start, advance, n
+
+
+@st.composite
+def stalled_folds(draw):
+    """An advance under half an ulp of the start, or exactly zero."""
+    start = draw(st.sampled_from([0.0, -0.0])
+                 | st.floats(min_value=-1e6, max_value=1e6))
+    frac = draw(st.sampled_from([0.0]) | st.floats(min_value=0.0,
+                                                    max_value=0.5,
+                                                    exclude_max=True))
+    n = draw(st.just(1) | st.integers(min_value=1, max_value=5000))
+    return start, frac * math.ulp(start), n
+
+
+@st.composite
+def folds(draw):
+    start, advance, n = draw(free_folds() | tie_folds() | stalled_folds())
+    clockwise = draw(st.booleans())
+    # A limit behind the start (already reached), about ``steps`` advances
+    # ahead of it, or past the run's end.
+    steps = draw(st.sampled_from([-2, 0, None]) | st.integers(1, n))
+    ahead = ((n + 1) * advance + 1.0 if steps is None
+             else (steps + 0.5) * advance)
+    limit = start + (ahead if clockwise else -ahead)
+    return start, advance, limit, n, clockwise
+
+
+class TestFold:
+    @given(case=folds())
+    # Exact zeros: the loop's zero is +0.0 either way, and a stalled -0.0
+    # stays -0.0 counterclockwise but becomes +0.0 clockwise.
+    @example(case=(-1e-6, 1e-6, 1.0, 3, True))
+    @example(case=(1e-6, 1e-6, -1.0, 3, False))
+    @example(case=(-0.0, 0.0, 1.0, 3, True))
+    @example(case=(-0.0, 0.0, -1.0, 3, False))
+    @example(case=(0.0, 0.0, -1.0, 3, False))
+    # Ties toward zero whose grid walk would land on the binade's edge,
+    # where the exact result rounds on the finer grid below it.
+    @example(case=(1 + 8 * 2.0 ** -52, 2.5 * 2.0 ** -52, 0.0, 10, False))
+    @example(case=(-1 - 8 * 2.0 ** -52, 2.5 * 2.0 ** -52, 0.0, 10, True))
+    # A long run through several binades to an exit mid-binade.
+    @example(case=(-0.011, 1.2345e-6, 0.00634, 20000, True))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_per_step_fold(self, case):
+        def seen(fold):
+            k, end, reached = fold(*case)
+            return k, reached, end.hex()
+        assert seen(closed_fold) == seen(plain_fold)

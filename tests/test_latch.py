@@ -98,6 +98,14 @@ class TestStep:
         with pytest.raises(ValueError):
             step(fsm, CW3, 0.0)
 
+    @pytest.mark.parametrize("position", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("state", list(LatchState))
+    def test_non_finite_tip_rejected(self, state, position):
+        # A NaN tip never reaches a limit, so a drive from it would run to
+        # LATCH_TIMEOUT.
+        with pytest.raises(ValueError, match="must be finite"):
+            LatchFsm(state, position)
+
 
 class TestSimulateTrace:
     def test_empty_schedule(self, fsm):
@@ -195,6 +203,19 @@ class TestTimeBase:
         finally:
             tracemalloc.stop()
         assert peak / len(trace.state) <= 48
+
+    def test_drive_keeps_only_its_tightening_steps(self, fsm):
+        # The constant-load phases are runs of a few numbers each; only
+        # Tightening keeps a current and a position per step (34,104 of the
+        # drive's 206,281 steps), plus the arrays' growth.
+        tracemalloc.start()
+        try:
+            _, trace, _ = run_until(fsm, CW3, 1e-4, LatchState.LATCHED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tightening = trace.state.count(LatchState.TIGHTENING) + 1
+        assert peak <= 24 * tightening
 
 
 @pytest.fixture
