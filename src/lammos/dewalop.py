@@ -176,9 +176,7 @@ class LoadPath:
         return not self.failures
 
 
-def leg_load_path(leg: WheeledLeg, external_force: float,
-                  plate: PlateSpec | None = None,
-                  material: MaterialSpec | None = None) -> LoadPath:
+def leg_load_path(leg: WheeledLeg, external_force: float) -> LoadPath:
     """Route an external force through the leg.
 
     With the flat latch engaged the leg is structural and the slide
@@ -187,15 +185,14 @@ def leg_load_path(leg: WheeledLeg, external_force: float,
     """
     if external_force < 0:
         raise ValueError("external force must be non-negative")
-    plate = plate or PlateSpec()
-    material = material or MaterialSpec()
     failures: list[str] = []
     if leg.flat_latch.state is LatchState.LATCHED:
         actuator, structure = 0.0, external_force
         if structure > 0:
             if not check_tslot_holding(structure).passed:
                 failures.append("tslot overload")
-            sf = plate_bending_safety_factor(plate, material, structure,
+            plate = PlateSpec()
+            sf = plate_bending_safety_factor(plate, MaterialSpec(), structure,
                                              plate.length)
             if sf.failed:
                 failures.append("plate bending failure")

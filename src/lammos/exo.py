@@ -166,15 +166,11 @@ def auto_lock_decision(joint: ExoJoint, power_now: float,
     return power_now >= threshold and not joint.locked
 
 
-def lock_structural_check(load_torque: float, lever_arm: float,
-                          plate: PlateSpec | None = None,
-                          material: MaterialSpec | None = None) -> SafetyResult:
+def lock_structural_check(load_torque: float, lever_arm: float) -> SafetyResult:
     """Bending check of the lock plate under the joint load, as a force at
     the given lever arm."""
-    plate = plate or PlateSpec()
-    material = material or MaterialSpec()
-    force = load_torque / lever_arm
-    return plate_bending_safety_factor(plate, material, force, lever_arm)
+    return plate_bending_safety_factor(PlateSpec(), MaterialSpec(),
+                                       load_torque / lever_arm, lever_arm)
 
 
 def comparison_csv(result: EnergyComparison) -> str:

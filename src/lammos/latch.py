@@ -394,7 +394,10 @@ class CurrentTrace:
         return self.t0 + self.steps * self.dt
 
     def energy(self, voltage_for: Callable[[float], float], dt: float) -> float:
-        """Integrate V*I*dt over the trace given a t -> V lookup."""
+        """Integrate V*I*dt over the trace given a t -> V lookup. ``dt`` must
+        be the trace's own."""
+        if dt != self.dt:
+            raise ValueError(f"dt {dt} is not the trace's dt {self.dt}")
         return sum(map(mul, map(mul, map(voltage_for, self._times()),
                                 self._currents()), repeat(dt)))
 

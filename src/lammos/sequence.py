@@ -192,10 +192,18 @@ class _Run:
 
 
 class _StepFailure(Exception):
+    """The engine's own step failure, at leg ``leg`` if one is named."""
+
     def __init__(self, reason: str, leg: Optional[str] = None):
         super().__init__(reason)
-        self.reason = reason
         self.leg = leg
+
+
+def _require(run: _Run, holds, reason: str):
+    """Fail the step at the first leg for which ``holds(leg)`` is false."""
+    for leg in run.unit.legs:
+        if not holds(leg):
+            raise _StepFailure(reason, leg=leg.leg_id)
 
 
 def _drive_latches(run: _Run, which: str, params: dict, actor: str):
@@ -250,10 +258,7 @@ def _do_move_into_pipe(run: _Run, params: dict):
         if not params.get("acknowledge_push_force", False):
             raise _StepFailure(
                 f"clearance {clearance:.3f} m requires acknowledged push force")
-        try:
-            force = insertion_force_required(run.scenario.pipe, lowered)
-        except InsertionError as exc:
-            raise _StepFailure(str(exc))
+        force = insertion_force_required(run.scenario.pipe, lowered)
         run.emit("move_into_pipe", f"manual push {force:.0f} N per leg acknowledged")
     run.unit = replace(run.unit, in_pipe=True)
     run.t += MECHANICAL_ACTION_DURATION
@@ -266,18 +271,13 @@ def _do_raise_legs(run: _Run, params: dict):
 
 
 def _do_latch_angle(run: _Run, params: dict):
-    for leg in run.unit.legs:
-        if leg.hinge_angle != 0.0:
-            raise _StepFailure("hinge not perpendicular", leg=leg.leg_id)
+    _require(run, lambda leg: leg.hinge_angle == 0.0, "hinge not perpendicular")
     _drive_latches(run, "angle_latch", params, "latch_angle")
     run.emit("latch_angle", "all angle latches engaged")
 
 
 def _do_extend_legs(run: _Run, params: dict):
-    try:
-        run.unit = wall_press(run.unit, run.scenario.pipe)
-    except LegStateError as exc:
-        raise _StepFailure(str(exc))
+    run.unit = wall_press(run.unit, run.scenario.pipe)
     run.t += MECHANICAL_ACTION_DURATION
     run.emit("extend_legs", "wall press complete, unit centered")
 
@@ -290,30 +290,27 @@ def _do_latch_flat(run: _Run, params: dict):
 
 
 def _do_unlatch_flat(run: _Run, params: dict):
-    for leg in run.unit.legs:
-        if leg.flat_latch.state is not LatchState.LATCHED:
-            raise _StepFailure("flat latch not engaged", leg=leg.leg_id)
+    _require(run, lambda leg: leg.flat_latch.state is LatchState.LATCHED,
+             "flat latch not engaged")
     _drive_latches(run, "flat_latch", params, "unlatch_flat")
     run.emit("unlatch_flat", "flat latches housed")
 
 
 def _do_retract_legs(run: _Run, params: dict):
-    for leg in run.unit.legs:
-        if leg.flat_latch.state is LatchState.LATCHED:
-            raise _StepFailure("extension frozen by flat latch", leg=leg.leg_id)
-        run.unit = run.unit.with_leg(replace(leg, extension=0.0))
-    run.unit = replace(run.unit, centered=False)
+    _require(run, lambda leg: leg.flat_latch.state is not LatchState.LATCHED,
+             "extension frozen by flat latch")
+    run.unit = replace(run.unit, centered=False, legs=tuple(
+        replace(leg, extension=0.0) for leg in run.unit.legs))
     run.t += MECHANICAL_ACTION_DURATION
     run.emit("retract_legs", "legs retracted")
 
 
 def _do_unlatch_angle(run: _Run, params: dict):
-    for leg in run.unit.legs:
-        if leg.angle_latch.state is not LatchState.LATCHED:
-            raise _StepFailure("angle latch not engaged", leg=leg.leg_id)
-        if leg.extension != 0.0:
-            raise _StepFailure("retract legs before unlatching the hinge",
-                               leg=leg.leg_id)
+    # All latches first, then all extensions: each is alike on every leg.
+    _require(run, lambda leg: leg.angle_latch.state is LatchState.LATCHED,
+             "angle latch not engaged")
+    _require(run, lambda leg: leg.extension == 0.0,
+             "retract legs before unlatching the hinge")
     _drive_latches(run, "angle_latch", params, "unlatch_angle")
     run.emit("unlatch_angle", "angle latches housed")
 
@@ -352,15 +349,16 @@ def run_scenario(scenario: Scenario):
         before = run.unit, run.t, len(run.entries), len(run.traces)
         try:
             _ACTIONS[step.action][0](run, step.parameters)
-        except _StepFailure as failure:
-            # Abort safety: undo the step, back to the snapshot before it.
+        except (_StepFailure, LegStateError, InsertionError) as failure:
+            # Abort safety: undo the step, back to the snapshot before it. A
+            # posture error raised by dewalop names no leg.
             run.unit, run.t, logged, traced = before
             del run.entries[logged:], run.traces[traced:]
             run.emit("scenario", f"abort at step {number} ({step.action}): "
-                                 f"{failure.reason}")
+                                 f"{failure}")
             verdict = Verdict(passed=False, failed_step=number,
-                              failed_action=step.action, reason=failure.reason,
-                              offending_leg=failure.leg)
+                              failed_action=step.action, reason=str(failure),
+                              offending_leg=getattr(failure, "leg", None))
             break
     else:
         run.emit("scenario", f"complete {scenario.name}")

@@ -193,6 +193,13 @@ class TestTimeBase:
         assert (final, len(trace.state), events) == (latched, 0, [])
         assert trace.duration == 17.5
 
+    def test_energy_takes_only_the_trace_dt(self, fsm):
+        # Another dt would scale the energy; the trace has one time base.
+        trace = run_schedule(fsm, [(CW3, 0.05)], 1e-3)[1]
+        assert trace.energy(lambda t: 3.0, trace.dt) > 0.0
+        with pytest.raises(ValueError, match="dt"):
+            trace.energy(lambda t: 3.0, 2 * trace.dt)
+
     def test_drive_keeps_columns_not_objects(self, fsm):
         # Two float columns and one state reference per step, plus the
         # columns' growth; a frozen sample per step kept about 200 B.

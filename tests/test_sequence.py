@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from lammos import defaults
 from lammos.dewalop import PipeEnvironment, default_unit, leg_load_path
 from lammos import exo
 from lammos.latch import MAX_DT, LatchState
@@ -163,6 +164,47 @@ class TestRoundTrip:
         for leg in restored.legs:
             assert leg.angle_latch.state is LatchState.HOUSED
             assert leg.flat_latch.state is LatchState.HOUSED
+
+
+FORWARD = [{"action": a} for a in (
+    "lower_legs", "move_into_pipe", "raise_legs", "latch_angle",
+    "extend_legs", "latch_flat")]
+
+
+class TestFailureSites:
+    # Each way a step fails: the verdict and the log's abort entry. Only the
+    # raised insertion reads RAISED_CLEARANCE_AT_800; at -0.050 m its
+    # interference exceeds the gas-spring stroke.
+    @pytest.mark.parametrize("steps, failed_step, reason, leg", [
+        ([{"action": "lower_legs"}, {"action": "extend_legs"}],
+         2, "leg top-0 is lowered; raise before pressing", None),
+        (FORWARD + [{"action": "extend_legs"}],
+         7, "leg top-0 extension frozen by flat latch", None),
+        (FORWARD + [{"action": "retract_legs"}],
+         7, "extension frozen by flat latch", "top-0"),
+        (FORWARD[:5] + [{"action": "unlatch_angle"}],
+         6, "retract legs before unlatching the hinge", "top-0"),
+        (FORWARD[:4] + [{"action": "lower_legs"}],
+         5, "angle latch engaged on leg top-0", "top-0"),
+        (FORWARD + [{"action": "unlatch_flat", "voltage_V": 3.95}],
+         7, "flat_latch did not reach Housed within 120 s", "top-0"),
+        ([{"action": "raise_legs"},
+          {"action": "move_into_pipe", "acknowledge_push_force": True}],
+         2, "interference 0.050 m exceeds gas-spring stroke 0.030 m: "
+            "cannot insert", None),
+    ])
+    def test_verdict_and_abort_entry(self, monkeypatch, steps, failed_step,
+                                     reason, leg):
+        monkeypatch.setattr(defaults, "RAISED_CLEARANCE_AT_800", -0.050)
+        _, log, verdict, _ = run_scenario(build_scenario({
+            "name": "failing", "type": "dewalop",
+            "pipe": {"inner_diameter_m": 0.800}, "steps": steps}, 0.01))
+        action = steps[failed_step - 1]["action"]
+        assert (verdict.passed, verdict.failed_step, verdict.failed_action,
+                verdict.reason, verdict.offending_leg) == (
+                    False, failed_step, action, reason, leg)
+        assert log.entries[-1].event == (
+            f"abort at step {failed_step} ({action}): {reason}")
 
 
 class TestLegsLatchAlike:
