@@ -137,6 +137,9 @@ def lower_leg(leg: WheeledLeg, target_angle: float) -> WheeledLeg:
     """Rotate the leg about its base hinge (pure rotation at the joint)."""
     if leg.angle_latch.state is not LatchState.HOUSED:
         raise LegStateError(f"angle latch engaged on leg {leg.leg_id}")
+    if leg.extension != 0.0:
+        raise LegStateError(f"leg {leg.leg_id} is extended; retract before "
+                            "turning the hinge")
     if leg.ring != "top":
         raise LegStateError(f"leg {leg.leg_id} has no lowering actuator")
     return replace(leg, hinge_angle=target_angle)

@@ -19,16 +19,7 @@ from .latch import (
     LatchState,
     run_until,
 )
-from .mechlib import (
-    MaterialSpec,
-    MotorSpec,
-    PlateSpec,
-    SafetyResult,
-    csv_number,
-    line_point,
-    motor_line,
-    plate_bending_safety_factor,
-)
+from .mechlib import MotorSpec, csv_number, line_point, motor_line
 
 
 class UnholdableLoadError(RuntimeError):
@@ -156,21 +147,6 @@ def _housed(lock: LatchFsm) -> LatchFsm:
     if lock.state is LatchState.HOUSED:
         return lock
     return LatchFsm()
-
-
-def auto_lock_decision(joint: ExoJoint, power_now: float,
-                       threshold: float) -> bool:
-    """Engage the lock when power draw rises to the threshold (if unlocked)."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    return power_now >= threshold and not joint.locked
-
-
-def lock_structural_check(load_torque: float, lever_arm: float) -> SafetyResult:
-    """Bending check of the lock plate under the joint load, as a force at
-    the given lever arm."""
-    return plate_bending_safety_factor(PlateSpec(), MaterialSpec(),
-                                       load_torque / lever_arm, lever_arm)
 
 
 def comparison_csv(result: EnergyComparison) -> str:

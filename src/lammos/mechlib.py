@@ -1,4 +1,6 @@
-"""Drivetrain and structural element models.
+"""Drivetrain and structural element models: motor operating points, the
+screw's back-drive torque (its self-lock), the seating spring's ratings,
+bracket/T-slot load envelopes and plate bending safety factors.
 
 Unit conventions: SI throughout (m, N, N*m, Pa, A, V). Motor speeds are
 rev/s at the gearbox output. Catalog values quoted in g*cm are converted
@@ -17,10 +19,6 @@ TSLOT_MAX_FORCE_N = 5000.0  # inclusive holding limit of the profile nut
 
 class VoltageRangeError(ValueError):
     """Supply voltage outside the motor's characterized anchor range."""
-
-
-class SpringOverloadError(ValueError):
-    """Requested deflection would exceed the spring's rated maximum load."""
 
 
 def csv_number(x: float) -> str:
@@ -148,20 +146,6 @@ class ScrewSpec:
         return 0.9 * self.nominal_diameter
 
 
-def screw_axial_force(screw: ScrewSpec, applied_torque: float) -> float:
-    """Axial clamping force produced by a raising torque on the thread.
-
-    Inverts T = F * d_m/2 * (L + pi*mu*d_m) / (pi*d_m - mu*L).
-    """
-    if applied_torque < 0:
-        raise ValueError("applied torque must be non-negative")
-    d_m = screw.mean_diameter
-    mu = screw.thread_friction_coefficient
-    lead = screw.thread_pitch
-    return (2.0 * applied_torque * (math.pi * d_m - mu * lead)
-            / (d_m * (lead + math.pi * mu * d_m)))
-
-
 def screw_back_drive_torque(screw: ScrewSpec, axial_force: float) -> float:
     """Torque an axial push can induce on the screw through the thread.
 
@@ -196,25 +180,6 @@ class SpringSpec:
             raise ValueError("active coil count must be positive")
         if self.shear_modulus <= 0 or self.max_load <= 0:
             raise ValueError("shear modulus and max load must be positive")
-
-
-def spring_rate(spring: SpringSpec) -> float:
-    """Linear rate k = G*d^4 / (8*D_mean^3*n_a), D_mean = outer - wire."""
-    d = spring.wire_diameter
-    d_mean = spring.outer_width - spring.wire_diameter
-    return spring.shear_modulus * d ** 4 / (8.0 * d_mean ** 3 * spring.active_coils)
-
-
-def spring_force(spring: SpringSpec, deflection: float) -> float:
-    """Force at a given deflection; errors past the rated maximum load."""
-    if deflection < 0:
-        raise ValueError("deflection must be non-negative")
-    force = spring_rate(spring) * deflection
-    if force > spring.max_load * (1.0 + 1e-9):
-        raise SpringOverloadError(
-            f"force {force:.4f} N exceeds rated maximum {spring.max_load} N"
-        )
-    return force
 
 
 @dataclass(frozen=True)

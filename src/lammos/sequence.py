@@ -252,6 +252,8 @@ def _do_lower_legs(run: _Run, params: dict):
 
 
 def _do_move_into_pipe(run: _Run, params: dict):
+    if run.unit.in_pipe:
+        raise _StepFailure("robot is already inside the pipe")
     lowered = all(l.hinge_angle != 0.0 for l in run.unit.ring_legs("top"))
     clearance = insertion_clearance(run.scenario.pipe, lowered)
     if clearance < 0:
@@ -277,6 +279,8 @@ def _do_latch_angle(run: _Run, params: dict):
 
 
 def _do_extend_legs(run: _Run, params: dict):
+    if not run.unit.in_pipe:
+        raise _StepFailure("robot is not inside the pipe")
     run.unit = wall_press(run.unit, run.scenario.pipe)
     run.t += MECHANICAL_ACTION_DURATION
     run.emit("extend_legs", "wall press complete, unit centered")

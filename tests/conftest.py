@@ -1,7 +1,7 @@
 import pytest
 
 from lammos import defaults
-from lammos.mechlib import ScrewSpec, SpringSpec
+from lammos.mechlib import ScrewSpec
 
 
 @pytest.fixture
@@ -12,11 +12,6 @@ def motor():
 @pytest.fixture
 def screw():
     return ScrewSpec()
-
-
-@pytest.fixture
-def spring():
-    return SpringSpec()
 
 
 @pytest.fixture

@@ -10,11 +10,9 @@ from lammos.exo import (
     ExoJoint,
     LoadTimeline,
     UnholdableLoadError,
-    auto_lock_decision,
     energy_comparison,
     hold_power,
     latch_energy,
-    lock_structural_check,
 )
 from lammos.latch import (Direction, DriveCommand, LatchFsm, LatchState,
                           run_until)
@@ -150,34 +148,8 @@ class TestEnergyComparison:
                 == trace.energy(lambda t: 3.0, dt).hex() == reference.hex())
 
 
-class TestAutoLock:
-    def test_below_threshold(self):
-        assert not auto_lock_decision(unlocked_joint(), 0.5, 1.0)
-
-    def test_at_threshold_unlocked(self):
-        assert auto_lock_decision(unlocked_joint(), 1.0, 1.0)
-
-    def test_already_locked_idempotent(self):
-        assert not auto_lock_decision(locked_joint(), 5.0, 1.0)
-
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            auto_lock_decision(unlocked_joint(), 1.0, 0.0)
-
-
-class TestStructuralGate:
-    def test_moderate_load_passes_plate_check(self):
-        result = lock_structural_check(load_torque=100.0, lever_arm=0.116)
-        assert result.safety_factor > 1.0
-
-    def test_excessive_load_reported_below_one(self):
-        result = lock_structural_check(load_torque=1500.0, lever_arm=0.116)
-        assert result.safety_factor < 1.0
-        assert result.failed
-
-
 class TestTimeline:
-    def test_csv_round_trip(self):
+    def test_segments_cover_the_timeline(self):
         timeline = LoadTimeline(points=((0.0, 0.1), (10.0, 0.2)),
                                 end_time=30.0)
         assert list(timeline.segments()) == [(0.0, 10.0, 0.1),

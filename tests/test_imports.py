@@ -1,5 +1,7 @@
-"""Each module imports on its own, whichever is imported first."""
+"""Each module imports on its own, whichever is imported first, and uses
+every name it imports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -22,3 +24,25 @@ def test_imports_alone_in_a_fresh_interpreter(module):
     result = subprocess.run([sys.executable, "-c", f"import lammos.{module}"],
                             env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    # A name re-exported on purpose carries "# noqa: F401" on its line.
+    path = SRC / "lammos" / f"{module}.py"
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items()
+                    if name not in used)
+    assert not unused, f"{module}.py imports names it never uses: {unused}"

@@ -15,8 +15,6 @@ from lammos.mechlib import (
     MotorSpec,
     PlateSpec,
     ScrewSpec,
-    SpringSpec,
-    SpringOverloadError,
     VoltageRangeError,
     check_bracket_load,
     check_tslot_holding,
@@ -25,10 +23,7 @@ from lammos.mechlib import (
     motor_line,
     motor_operating_point,
     plate_bending_safety_factor,
-    screw_axial_force,
     screw_back_drive_torque,
-    spring_force,
-    spring_rate,
 )
 
 STALL_3V = gram_cm_to_newton_m(2884.0)
@@ -104,26 +99,6 @@ class TestMotor:
 
 
 class TestScrew:
-    def test_zero_torque_zero_force(self, screw):
-        assert screw_axial_force(screw, 0.0) == 0.0
-
-    def test_against_helix_angle_oracle(self, screw):
-        # Independent formulation: T = F * d_m/2 * tan(helix + friction angle).
-        torque = 0.28288
-        d_m = 0.9 * screw.nominal_diameter
-        helix = math.atan(screw.thread_pitch / (math.pi * d_m))
-        friction = math.atan(screw.thread_friction_coefficient)
-        expected = 2 * torque / (d_m * math.tan(helix + friction))
-        assert screw_axial_force(screw, torque) == pytest.approx(expected,
-                                                                 rel=1e-9)
-
-    def test_frictionless_limit(self):
-        screw = ScrewSpec(thread_friction_coefficient=0.0)
-        torque = 0.1
-        expected = 2 * math.pi * torque / screw.thread_pitch
-        assert screw_axial_force(screw, torque) == pytest.approx(expected,
-                                                                 rel=1e-12)
-
     def test_back_drive_self_locking(self, screw):
         # M8 coarse with mu = 0.2 is self-locking: no back-drive torque.
         assert screw_back_drive_torque(screw, 4.506) == 0.0
@@ -131,46 +106,6 @@ class TestScrew:
     def test_back_drive_free_thread(self):
         screw = ScrewSpec(thread_friction_coefficient=0.0)
         assert screw_back_drive_torque(screw, 10.0) > 0.0
-
-
-class TestSpring:
-    def test_rate_hand_oracle(self, spring):
-        # k = G d^4 / (8 D_mean^3 n_a) evaluated by hand.
-        expected = 79.3e9 * 0.0005 ** 4 / (8 * 0.0075 ** 3 * 28)
-        assert spring_rate(spring) == pytest.approx(expected, rel=1e-12)
-        assert spring_rate(spring) == pytest.approx(52.45, abs=0.05)
-
-    def test_rate_scalings(self, spring):
-        import dataclasses
-        doubled_coils = dataclasses.replace(spring, active_coils=56)
-        assert spring_rate(doubled_coils) == pytest.approx(
-            spring_rate(spring) / 2, rel=1e-12)
-        thick = dataclasses.replace(spring, wire_diameter=0.001,
-                                    outer_width=0.0085)
-        # Same mean diameter, doubled wire: k scales by 2^4.
-        assert spring_rate(thick) == pytest.approx(16 * spring_rate(spring),
-                                                   rel=1e-12)
-
-    def test_zero_deflection(self, spring):
-        assert spring_force(spring, 0.0) == 0.0
-
-    def test_max_load_boundary(self, spring):
-        deflection = spring.max_load / spring_rate(spring)
-        assert spring_force(spring, deflection) == pytest.approx(4.506,
-                                                                 rel=1e-12)
-        with pytest.raises(SpringOverloadError):
-            spring_force(spring, 2 * deflection)
-
-    @given(a=st.floats(min_value=0.0, max_value=0.04),
-           b=st.floats(min_value=0.0, max_value=0.04))
-    def test_linearity(self, a, b):
-        spring = SpringSpec()
-        if spring_rate(spring) * (a + b) > spring.max_load:
-            return
-        total = spring_force(spring, a + b)
-        assert total == pytest.approx(
-            spring_force(spring, a) + spring_force(spring, b), rel=1e-12,
-            abs=1e-15)
 
 
 def bracket_oracle(bracket, force, lever):

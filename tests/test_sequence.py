@@ -166,9 +166,12 @@ class TestRoundTrip:
             assert leg.flat_latch.state is LatchState.HOUSED
 
 
-FORWARD = [{"action": a} for a in (
-    "lower_legs", "move_into_pipe", "raise_legs", "latch_angle",
-    "extend_legs", "latch_flat")]
+def _steps(*actions):
+    return [{"action": a} for a in actions]
+
+
+FORWARD = _steps("lower_legs", "move_into_pipe", "raise_legs", "latch_angle",
+                 "extend_legs", "latch_flat")
 
 
 class TestFailureSites:
@@ -176,8 +179,8 @@ class TestFailureSites:
     # raised insertion reads RAISED_CLEARANCE_AT_800; at -0.050 m its
     # interference exceeds the gas-spring stroke.
     @pytest.mark.parametrize("steps, failed_step, reason, leg", [
-        ([{"action": "lower_legs"}, {"action": "extend_legs"}],
-         2, "leg top-0 is lowered; raise before pressing", None),
+        (_steps("lower_legs", "move_into_pipe", "extend_legs"),
+         3, "leg top-0 is lowered; raise before pressing", None),
         (FORWARD + [{"action": "extend_legs"}],
          7, "leg top-0 extension frozen by flat latch", None),
         (FORWARD + [{"action": "retract_legs"}],
@@ -192,6 +195,14 @@ class TestFailureSites:
           {"action": "move_into_pipe", "acknowledge_push_force": True}],
          2, "interference 0.050 m exceeds gas-spring stroke 0.030 m: "
             "cannot insert", None),
+        (_steps("raise_legs", "extend_legs"),
+         2, "robot is not inside the pipe", None),
+        (_steps("lower_legs", "move_into_pipe", "move_into_pipe"),
+         3, "robot is already inside the pipe", None),
+        (_steps("lower_legs", "move_into_pipe", "raise_legs", "extend_legs",
+                "lower_legs"),
+         5, "leg top-0 is extended; retract before turning the hinge",
+         "top-0"),
     ])
     def test_verdict_and_abort_entry(self, monkeypatch, steps, failed_step,
                                      reason, leg):
