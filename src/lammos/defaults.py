@@ -1,10 +1,10 @@
 """Default mechanism parameters.
 
-Catalog-anchored values (motor stall torques, spring ratings, bracket
-envelopes, T-slot limit, plate dimensions, insertion clearances) come from
-the hardware datasheets; values marked "assumed" have no published source
-and are exposed here so every non-catalog number is auditable via the
-`defaults` CLI subcommand.
+Catalog-anchored values (motor stall torques, the M8 screw, the seating
+spring's ratings, bracket envelopes, T-slot limit, plate dimensions,
+insertion clearances) come from the hardware datasheets; values marked
+"assumed" have no published source and are exposed here so every
+non-catalog number is auditable via the `defaults` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ import math
 
 from .mechlib import (
     BRACKET_40X40, BRACKET_80X80, BRACKET_160X80, TSLOT_MAX_FORCE_N,
-    MaterialSpec, MotorSpec, PlateSpec, ScrewSpec, SpringSpec,
-    gram_cm_to_newton_m,
+    MaterialSpec, MotorSpec, PlateSpec, gram_cm_to_newton_m,
 )
 
 # Catalog stall torques at the two characterized voltages.
 STALL_TORQUE_GCM_3V = 2884.0
 STALL_TORQUE_GCM_6V = 3444.0
+GEAR_RATIO = 298.0  # only printed: the model works at the gearbox output
 
 # Assumed electrical/speed figures for a 298:1 micro gearmotor (not catalog).
 FREE_SPEED_REVS_3V = 0.75
@@ -36,7 +36,6 @@ DEFAULT_DT = 0.001  # s
 # The one latch mechanism, shared by every leg latch and the exo joint lock.
 # ``latch`` reads these when it runs; a LatchFsm holds only the state.
 MOTOR = MotorSpec(
-    gear_ratio=298.0,
     stall_torque_points=(
         (3.0, gram_cm_to_newton_m(STALL_TORQUE_GCM_3V)),
         (6.0, gram_cm_to_newton_m(STALL_TORQUE_GCM_6V)),
@@ -45,8 +44,17 @@ MOTOR = MotorSpec(
     stall_current_points=((3.0, STALL_CURRENT_A_3V), (6.0, STALL_CURRENT_A_6V)),
     no_load_current=NO_LOAD_CURRENT_A,
 )
-SCREW = ScrewSpec()
-SPRING = SpringSpec()
+SCREW_NOMINAL_DIAMETER = 0.008      # m (M8)
+SCREW_THREAD_PITCH = 0.00125        # m/rev (M8 coarse)
+SCREW_LENGTH = 0.018                # m
+SCREW_THREAD_FRICTION = 0.2         # thread friction coefficient
+SPRING_FREE_LENGTH = 0.019          # m, screw-seating guide spring
+SPRING_OUTER_WIDTH = 0.008          # m
+SPRING_WIRE_DIAMETER = 0.0005       # m
+SPRING_ACTIVE_COILS = 28
+SPRING_SHEAR_MODULUS = 79.3e9       # Pa, stainless steel
+SPRING_MAX_LOAD = 4.506             # N
+SPRING_MASS = 0.000406              # kg
 FLEXNUT_FRICTION_TORQUE = 0.02      # N*m
 BRACKET_THICKNESS = 0.009           # m
 TSLOT_GAP = 0.003                   # m, bracket underside to nut face
@@ -91,7 +99,7 @@ def defaults_as_dict() -> dict:
     plate = PlateSpec()
     return {
         "motor": {
-            "gear_ratio": MOTOR.gear_ratio,
+            "gear_ratio": GEAR_RATIO,
             "stall_torque_gcm_3V": STALL_TORQUE_GCM_3V,
             "stall_torque_gcm_6V": STALL_TORQUE_GCM_6V,
             "free_speed_revs_3V (assumed)": FREE_SPEED_REVS_3V,
@@ -101,20 +109,19 @@ def defaults_as_dict() -> dict:
             "no_load_current_A (assumed)": NO_LOAD_CURRENT_A,
         },
         "screw": {
-            "nominal_diameter_m": SCREW.nominal_diameter,
-            "thread_pitch_m (assumed: M8 coarse)": SCREW.thread_pitch,
-            "length_m": SCREW.length,
-            "thread_friction_coefficient (assumed)":
-                SCREW.thread_friction_coefficient,
+            "nominal_diameter_m": SCREW_NOMINAL_DIAMETER,
+            "thread_pitch_m (assumed: M8 coarse)": SCREW_THREAD_PITCH,
+            "length_m": SCREW_LENGTH,
+            "thread_friction_coefficient (assumed)": SCREW_THREAD_FRICTION,
         },
         "spring": {
-            "free_length_m": SPRING.free_length,
-            "outer_width_m": SPRING.outer_width,
-            "wire_diameter_m": SPRING.wire_diameter,
-            "active_coils": SPRING.active_coils,
-            "shear_modulus_Pa (assumed: stainless)": SPRING.shear_modulus,
-            "max_load_N": SPRING.max_load,
-            "mass_kg": SPRING.mass,
+            "free_length_m": SPRING_FREE_LENGTH,
+            "outer_width_m": SPRING_OUTER_WIDTH,
+            "wire_diameter_m": SPRING_WIRE_DIAMETER,
+            "active_coils": SPRING_ACTIVE_COILS,
+            "shear_modulus_Pa (assumed: stainless)": SPRING_SHEAR_MODULUS,
+            "max_load_N": SPRING_MAX_LOAD,
+            "mass_kg": SPRING_MASS,
         },
         "latch": {
             "flexnut_friction_torque_Nm (assumed)": FLEXNUT_FRICTION_TORQUE,

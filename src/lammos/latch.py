@@ -150,7 +150,7 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
     generating its positions. Returns (final fsm, trace, timed events).
     """
     motor = defaults.MOTOR
-    pitch = defaults.SCREW.thread_pitch
+    pitch = defaults.SCREW_THREAD_PITCH
     friction = defaults.FLEXNUT_FRICTION_TORQUE
     tslot = fsm.tslot_engagement_position
     breakaway = _loosening_load()
@@ -441,7 +441,7 @@ def _tighten(line, pos: float, tslot: float, n: int, dt: float,
     i_0 = defaults.MOTOR.no_load_current
     friction = defaults.FLEXNUT_FRICTION_TORQUE
     clamp_span, slope = defaults.CLAMP_TORQUE - friction, i_stall - i_0
-    travel, pitch = defaults.TIGHTENING_TRAVEL, defaults.SCREW.thread_pitch
+    travel, pitch = defaults.TIGHTENING_TRAVEL, defaults.SCREW_THREAD_PITCH
     latch_current = defaults.TIGHTENING_CURRENT_THRESHOLD * i_stall
     add_current, add_position = currents.append, positions.append
     for k in range(1, n + 1):
@@ -489,8 +489,9 @@ def holds_housed_without_power(fsm: LatchFsm) -> bool:
     """True iff flexnut friction beats the spring-induced back-drive torque."""
     if fsm.state is not LatchState.HOUSED:
         raise LatchStateError("holds_housed_without_power requires Housed state")
-    backdrive = screw_back_drive_torque(defaults.SCREW,
-                                        defaults.SPRING.max_load)
+    backdrive = screw_back_drive_torque(
+        defaults.SPRING_MAX_LOAD, defaults.SCREW_NOMINAL_DIAMETER,
+        defaults.SCREW_THREAD_PITCH, defaults.SCREW_THREAD_FRICTION)
     return backdrive < defaults.FLEXNUT_FRICTION_TORQUE
 
 

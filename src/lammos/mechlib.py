@@ -1,6 +1,7 @@
 """Drivetrain and structural element models: motor operating points, the
-screw's back-drive torque (its self-lock), the seating spring's ratings,
-bracket/T-slot load envelopes and plate bending safety factors.
+screw's back-drive torque (its self-lock), bracket/T-slot load envelopes
+and plate bending safety factors. The screw and the seating spring are
+constants in ``defaults``.
 
 Unit conventions: SI throughout (m, N, N*m, Pa, A, V). Motor speeds are
 rev/s at the gearbox output. Catalog values quoted in g*cm are converted
@@ -57,7 +58,6 @@ def _interp(points: tuple[tuple[float, float], ...], voltage: float) -> float:
 class MotorSpec:
     """Micro geared motor characterized by anchor points over voltage."""
 
-    gear_ratio: float
     stall_torque_points: tuple[tuple[float, float], ...]  # (V, N*m at output)
     free_speed_points: tuple[tuple[float, float], ...]    # (V, rev/s at output)
     stall_current_points: tuple[tuple[float, float], ...] # (V, A)
@@ -124,62 +124,19 @@ def motor_operating_point(motor: MotorSpec, supply_voltage: float,
                           stalled=load_torque >= line[0])
 
 
-@dataclass(frozen=True)
-class ScrewSpec:
-    """Machine screw driven by the geared motor."""
-
-    nominal_diameter: float = 0.008     # m (M8)
-    thread_pitch: float = 0.00125       # m/rev (M8 coarse)
-    length: float = 0.018               # m
-    thread_friction_coefficient: float = 0.2
-
-    def __post_init__(self):
-        if self.thread_pitch <= 0:
-            raise ValueError("thread pitch must be positive")
-        if self.length <= 0:
-            raise ValueError("screw length must be positive")
-        if not (0 <= self.thread_friction_coefficient < 1):
-            raise ValueError("friction coefficient must be in [0, 1)")
-
-    @property
-    def mean_diameter(self) -> float:
-        return 0.9 * self.nominal_diameter
-
-
-def screw_back_drive_torque(screw: ScrewSpec, axial_force: float) -> float:
-    """Torque an axial push can induce on the screw through the thread.
+def screw_back_drive_torque(axial_force: float, nominal_diameter: float,
+                            lead: float, mu: float) -> float:
+    """Torque an axial push can induce on a screw through its thread, at a
+    mean diameter of 0.9 times the nominal one.
 
     Zero for self-locking threads (friction term dominates the lead).
     """
     if axial_force < 0:
         raise ValueError("axial force must be non-negative")
-    d_m = screw.mean_diameter
-    mu = screw.thread_friction_coefficient
-    lead = screw.thread_pitch
+    d_m = 0.9 * nominal_diameter
     torque = (axial_force * d_m / 2.0
               * (lead - math.pi * mu * d_m) / (math.pi * d_m + mu * lead))
     return max(0.0, torque)
-
-
-@dataclass(frozen=True)
-class SpringSpec:
-    """Helical spring of the screw-seating guide (linear rate model)."""
-
-    free_length: float = 0.019       # m
-    outer_width: float = 0.008       # m
-    wire_diameter: float = 0.0005    # m
-    active_coils: int = 28
-    shear_modulus: float = 79.3e9    # Pa, stainless steel
-    max_load: float = 4.506          # N
-    mass: float = 0.000406           # kg
-
-    def __post_init__(self):
-        if self.wire_diameter <= 0 or self.outer_width <= self.wire_diameter:
-            raise ValueError("invalid spring geometry")
-        if self.active_coils <= 0:
-            raise ValueError("active coil count must be positive")
-        if self.shear_modulus <= 0 or self.max_load <= 0:
-            raise ValueError("shear modulus and max load must be positive")
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,10 @@ def _check_name(name: str) -> None:
     if not (name and name.isprintable() and "/" not in name):
         raise ValueError(f"scenario name {name!r} must be non-empty and "
                          "printable, without '/'")
+    # A 255-byte file name less "_comparison.csv", the longest suffix.
+    if len(name.encode()) > 240:
+        raise ValueError(f"scenario name of {len(name.encode())} UTF-8 bytes "
+                         "is longer than 240, the most its file names hold")
 
 
 def _check_steps(steps) -> None:

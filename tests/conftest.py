@@ -1,17 +1,11 @@
 import pytest
 
 from lammos import defaults
-from lammos.mechlib import ScrewSpec
 
 
 @pytest.fixture
 def motor():
     return defaults.default_motor()
-
-
-@pytest.fixture
-def screw():
-    return ScrewSpec()
 
 
 @pytest.fixture

@@ -35,7 +35,6 @@ from lammos.mechlib import (
     BRACKET_160X80,
     MaterialSpec,
     PlateSpec,
-    SpringSpec,
     check_bracket_load,
     check_tslot_holding,
     gram_cm_to_newton_m,
@@ -64,7 +63,7 @@ def test_criterion_1_table_anchored_constants(motor):
     ok = True
     ok &= abs(motor.stall_torque(3.0) / gram_cm_to_newton_m(2884.0) - 1) <= 1e-12
     ok &= abs(motor.stall_torque(6.0) / gram_cm_to_newton_m(3444.0) - 1) <= 1e-12
-    ok &= SpringSpec().max_load == 4.506
+    ok &= defaults.SPRING_MAX_LOAD == 4.506
     ok &= check_tslot_holding(5000.0).passed
     ok &= not check_tslot_holding(5000.0 + 1e-9).passed
     envelopes = {

@@ -242,9 +242,39 @@ class TestBoundary:
 
     def test_unwritable_artifact_exits_two(self, tmp_path, capsys):
         doc_path = tmp_path / "doc.json"
-        doc_path.write_text(json.dumps(_with(MECHANICAL, "x" * 300, "name")))
+        doc_path.write_text(json.dumps(MECHANICAL))
+        (tmp_path / "out" / "preflight_trace.csv").mkdir(parents=True)
         assert _call("run", doc_path, tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    # A name fits its artifacts' file names when it is at most 240 UTF-8
+    # bytes: a 255-byte file name less "_comparison.csv".
+    @pytest.mark.parametrize("doc", [MECHANICAL, EXO], ids=["robot", "exo"])
+    @pytest.mark.parametrize("name", ["x" * 241, "\u00e9" * 121],
+                             ids=["241_bytes", "121_e_acute"])
+    def test_name_over_240_bytes_is_rejected(self, doc, name, tmp_path,
+                                             capsys):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(_with(doc, name, "name")))
+        assert _call("check", doc_path, None) == 1
+        assert capsys.readouterr().out == (
+            f"scenario name of {len(name.encode())} UTF-8 bytes is longer "
+            "than 240, the most its file names hold\n")
+        assert _call("run", doc_path, tmp_path / "out") == 2
+        assert list(tmp_path.iterdir()) == [doc_path]
+
+    @pytest.mark.parametrize("doc, files", [(MECHANICAL, 3), (EXO, 2)],
+                             ids=["robot", "exo"])
+    @pytest.mark.parametrize("name", ["x" * 240, "\u00e9" * 120],
+                             ids=["240_bytes", "120_e_acute"])
+    def test_name_of_240_bytes_runs(self, doc, files, name, tmp_path, capsys):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(_with(doc, name, "name")))
+        assert _call("check", doc_path, None) == 0
+        assert _call("run", doc_path, tmp_path / "out") == 0
+        written = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert len(written) == files
+        assert all(p.startswith(name + "_") for p in written)
 
     @pytest.mark.parametrize("doc", [
         *sorted(p.name for p in SCENARIOS.glob("*.json")),
@@ -358,9 +388,9 @@ class TestDefaults:
         assert run_cli("defaults") == 0
         names = [key.split(" ")[0]
                  for key in json.loads(capsys.readouterr().out)["latch"]]
-        read = (set(re.findall(r"defaults\.([A-Z_]+)\b",
-                               inspect.getsource(latch)))
-                - {"MOTOR", "SCREW", "SPRING"})
+        read = {c for c in re.findall(r"defaults\.([A-Z_]+)\b",
+                                      inspect.getsource(latch))
+                if c != "MOTOR" and not c.startswith(("SCREW_", "SPRING_"))}
         missing = [c for c in sorted(read)
                    if not any(re.fullmatch(c.lower() + "(_m|_Nm)?", name)
                               for name in names)]

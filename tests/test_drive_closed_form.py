@@ -45,7 +45,7 @@ class Motor:
     def __init__(self, voltage):
         motor = defaults.MOTOR
         self.stall = motor.stall_torque(voltage)
-        self.free = motor.free_speed(voltage) * defaults.SCREW.thread_pitch
+        self.free = motor.free_speed(voltage) * defaults.SCREW_THREAD_PITCH
         self.i_0 = motor.no_load_current
         self.i_stall = motor.stall_current(voltage)
 

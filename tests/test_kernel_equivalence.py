@@ -104,7 +104,7 @@ def ref_step(fsm, cmd, dt):
             if op.current >= threshold:
                 return replace(fsm, state=LatchState.LATCHED), LatchEvent("latched")
         pos = (fsm.screw_tip_position
-               + op.speed * defaults.SCREW.thread_pitch * dt)
+               + op.speed * defaults.SCREW_THREAD_PITCH * dt)
         if fsm.state is LatchState.ENGAGING_FLEXNUT and pos >= 0.0:
             return (replace(fsm, state=LatchState.TRAVERSING,
                             screw_tip_position=0.0),
@@ -122,7 +122,7 @@ def ref_step(fsm, cmd, dt):
     op = ref_operating_point(defaults.MOTOR, cmd.voltage,
                              ref_load_torque(fsm, fsm.state))
     pos = (fsm.screw_tip_position
-           - op.speed * defaults.SCREW.thread_pitch * dt)
+           - op.speed * defaults.SCREW_THREAD_PITCH * dt)
     if (fsm.state is LatchState.LOOSENING
             and pos <= fsm.tslot_engagement_position):
         return (replace(fsm, state=LatchState.RETRACTING,

@@ -141,7 +141,7 @@ class TestSimulateTrace:
         fine = run_schedule(fsm, schedule, 0.001)[1]
         assert coarse.samples[-1].state == fine.samples[-1].state
         max_advance = (defaults.MOTOR.free_speed(3.0)
-                       * defaults.SCREW.thread_pitch * 0.002)
+                       * defaults.SCREW_THREAD_PITCH * 0.002)
         assert abs(coarse.samples[-1].position
                    - fine.samples[-1].position) <= max_advance
 
@@ -276,8 +276,9 @@ class TestHousedStatics:
     def test_backdrive_oracle_margin(self):
         # The M8/mu=0.2 thread is self-locking, so any friction holds.
         from lammos.mechlib import screw_back_drive_torque
-        backdrive = screw_back_drive_torque(defaults.SCREW,
-                                            defaults.SPRING.max_load)
+        backdrive = screw_back_drive_torque(
+            defaults.SPRING_MAX_LOAD, defaults.SCREW_NOMINAL_DIAMETER,
+            defaults.SCREW_THREAD_PITCH, defaults.SCREW_THREAD_FRICTION)
         assert backdrive < defaults.FLEXNUT_FRICTION_TORQUE / 2
 
     def test_zero_friction_fails(self, fsm, monkeypatch):
@@ -301,7 +302,15 @@ class TestMechanism:
         assert d.CLAMP_TORQUE > d.FLEXNUT_FRICTION_TORQUE, "clamp > friction"
         travel = (d.BRACKET_THICKNESS + d.TSLOT_GAP + d.TIGHTENING_TRAVEL
                   - d.HOUSED_REST_POSITION)
-        assert travel <= d.SCREW.length, "latched travel within the screw"
+        assert travel <= d.SCREW_LENGTH, "latched travel within the screw"
+        assert d.SCREW_THREAD_PITCH > 0, "thread pitch"
+        assert d.SCREW_LENGTH > 0, "screw length"
+        assert 0 <= d.SCREW_THREAD_FRICTION < 1, "friction in [0, 1)"
+        assert d.SPRING_WIRE_DIAMETER > 0, "spring wire"
+        assert d.SPRING_OUTER_WIDTH > d.SPRING_WIRE_DIAMETER, "spring geometry"
+        assert d.SPRING_ACTIVE_COILS > 0, "active coils"
+        assert d.SPRING_SHEAR_MODULUS > 0 and d.SPRING_MAX_LOAD > 0, \
+            "shear modulus and max load"
 
 
 class TestStaticPower:

@@ -14,7 +14,6 @@ from lammos.mechlib import (
     MaterialSpec,
     MotorSpec,
     PlateSpec,
-    ScrewSpec,
     VoltageRangeError,
     check_bracket_load,
     check_tslot_holding,
@@ -86,26 +85,24 @@ class TestMotor:
 
     def test_anchor_validation(self):
         with pytest.raises(ValueError):
-            MotorSpec(gear_ratio=298, stall_torque_points=((3.0, 0.28),),
+            MotorSpec(stall_torque_points=((3.0, 0.28),),
                       free_speed_points=((3.0, 0.75), (6.0, 1.6)),
                       stall_current_points=((3.0, 0.7), (6.0, 1.6)),
                       no_load_current=0.04)
         with pytest.raises(ValueError):
-            MotorSpec(gear_ratio=298,
-                      stall_torque_points=((3.0, 0.28), (6.0, -1.0)),
+            MotorSpec(stall_torque_points=((3.0, 0.28), (6.0, -1.0)),
                       free_speed_points=((3.0, 0.75), (6.0, 1.6)),
                       stall_current_points=((3.0, 0.7), (6.0, 1.6)),
                       no_load_current=0.04)
 
 
 class TestScrew:
-    def test_back_drive_self_locking(self, screw):
+    def test_back_drive_self_locking(self):
         # M8 coarse with mu = 0.2 is self-locking: no back-drive torque.
-        assert screw_back_drive_torque(screw, 4.506) == 0.0
+        assert screw_back_drive_torque(4.506, 0.008, 0.00125, 0.2) == 0.0
 
     def test_back_drive_free_thread(self):
-        screw = ScrewSpec(thread_friction_coefficient=0.0)
-        assert screw_back_drive_torque(screw, 10.0) > 0.0
+        assert screw_back_drive_torque(10.0, 0.008, 0.00125, 0.0) > 0.0
 
 
 def bracket_oracle(bracket, force, lever):
