@@ -31,6 +31,7 @@ MIN_DT = 1e-5          # s; bounds a LATCH_TIMEOUT drive to 1.2e7 steps
 MAX_DT = 0.01          # s; a document's coarsest: latch energy within 0.05%
 LATCH_TIMEOUT = 120.0  # s of simulated drive per latch action
 TRACE_CSV_HEADER = "t_s,current_A,position_m,state"  # CurrentTrace.write_csv
+CSV_BLOCK = 64         # trace CSV rows formatted per write: bounds its memory
 
 
 def check_dt(dt: float, most: float = math.inf) -> None:
@@ -352,8 +353,8 @@ class CurrentTrace:
         return sum(run.n for run in self.runs)
 
     def _times(self):
-        t0, dt = self.t0, self.dt
-        return (t0 + k * dt for k in range(1, self.steps + 1))
+        return map(add, repeat(self.t0), map(mul, range(1, self.steps + 1),
+                                             repeat(self.dt)))
 
     def _currents(self):
         return chain.from_iterable(run.currents() for run in self.runs)
@@ -384,10 +385,29 @@ class CurrentTrace:
 
     def write_csv(self, fh, prefix: str = "") -> None:
         """Write one ``TRACE_CSV_HEADER`` row per sample, after ``prefix``,
-        to the open text file ``fh``; numbers as ``csv_number`` writes them."""
-        fh.writelines("%s%.9g,%.9g,%.9g,%s\n" % (prefix, t, i, x, s.value)
-                      for t, i, x, s in zip(self._times(), self._currents(),
-                                            self._positions(), self._states()))
+        to the open text file ``fh``; numbers as ``csv_number`` writes them.
+
+        A run's prefix, state and constant current are formatted once into
+        a row template; its rows fill that template ``CSV_BLOCK`` at a time,
+        and one last write holds the rest and the row of its end state. The
+        bytes are those of formatting each sample alone."""
+        write, times = fh.write, self._times()
+        prefix = prefix.replace("%", "%%")
+        for run in self.runs:
+            if isinstance(run.current, array):
+                rows = zip(islice(times, run.n), run.current, run.positions())
+                row = prefix + "%.9g,%.9g,%.9g,"
+            else:
+                rows = zip(islice(times, run.n), run.positions())
+                row = prefix + "%%.9g,%.9g,%%.9g," % run.current
+            template = row + run.state.value + "\n"
+            blocks, rest = divmod(run.n - 1, CSV_BLOCK)
+            block = template * CSV_BLOCK
+            for _ in range(blocks):
+                write(block % tuple(chain.from_iterable(islice(rows,
+                                                               CSV_BLOCK))))
+            write((template * rest + row + run.end_state.value + "\n")
+                  % tuple(chain.from_iterable(rows)))
 
     @property
     def duration(self) -> float:

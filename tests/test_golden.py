@@ -7,7 +7,10 @@ option was removed), and the ``lammos defaults`` digest was re-recorded
 when it gained the one line ``tightening_travel_m (assumed)``. The
 ``roundtrip_800mm`` case (the first to pin unlatch artifacts) and the
 ``exo_lock_study`` stdout were added later, recorded on the code before
-``latch.step`` lost its second path through the drive kernel. Any change to
+``latch.step`` lost its second path through the drive kernel. The
+``roundtrip_800mm_dt0.00123`` case (every trace time a non-round value,
+55,108 trace rows) was recorded on the code before ``write_csv`` formatted
+each run's constant fields once and wrote its rows in blocks. Any change to
 a verdict, an event log, a trace digit, a report line, a comparison value
 or a default shows up here.
 
@@ -36,6 +39,7 @@ CASES = {
     "exo_hold_600s": ("exo_hold_600s.json",),
     "pipe_out_of_range": ("pipe_out_of_range.json",),
     "roundtrip_800mm": ("roundtrip_800mm.json",),
+    "roundtrip_800mm_dt0.00123": ("roundtrip_800mm.json", "--dt", "0.00123"),
 }
 
 GOLDEN = {
@@ -108,6 +112,19 @@ GOLDEN = {
             "8ecedf3c85e36dce537392cfb5e04859912a7a20a79331c62fe8c2ec8cdb165a",
         "roundtrip-800mm_trace.csv":
             "d4e3ae28a286ec1e4db0d9a84fcba9d7249c6098005e1feea4fc9488a7900a03",
+    },
+    "roundtrip_800mm_dt0.00123": {
+        "exit": 0,
+        "stdout":
+            "20f53996de694cbd957bb087c010210c4e830cdbfb0105aa12490c04e8908a73",
+        "stderr":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "roundtrip-800mm_events.csv":
+            "dd81f51f9934d90629ef099f0ab6c921031a72381cc0e17b44915ce409be7ae8",
+        "roundtrip-800mm_report.txt":
+            "8ecedf3c85e36dce537392cfb5e04859912a7a20a79331c62fe8c2ec8cdb165a",
+        "roundtrip-800mm_trace.csv":
+            "bbcf65991f0e343d2e2cbcbcca6cf8de22fd1d818f55bc405a7ac905901d6ae3",
     },
     "latch_cycle_trace": {
         "exit": 0,

@@ -15,6 +15,7 @@ from lammos import defaults, exo
 from lammos.dewalop import default_unit
 from lammos.latch import (
     DRIVE_OFF,
+    MAX_DT,
     MIN_DT,
     Direction,
     DriveCommand,
@@ -169,6 +170,20 @@ class TestSimulateTrace:
                 tracemalloc.stop()
         assert peak < 0.5e6
 
+    def test_write_csv_peak_does_not_grow_with_rows(self, fsm):
+        # Ten times the rows of the drive above, in runs of up to 137,741
+        # rows; joining one whole run's rows would hold several MB.
+        trace = full_latch(fsm, 1e-4)[1]
+        assert trace.steps == 206_281
+        with open(os.devnull, "w") as fh:
+            tracemalloc.start()
+            try:
+                trace.write_csv(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 0.5e6
+
     def test_nonpositive_duration_rejected(self, fsm):
         with pytest.raises(ValueError):
             run_schedule(fsm, [(CW3, 0.0)], 0.001)[1]
@@ -223,6 +238,109 @@ class TestTimeBase:
             tracemalloc.stop()
         tightening = trace.state.count(LatchState.TIGHTENING) + 1
         assert peak <= 24 * tightening
+
+
+REST = defaults.HOUSED_REST_POSITION
+TSLOT = defaults.BRACKET_THICKNESS + defaults.TSLOT_GAP
+TIGHT = TSLOT + defaults.TIGHTENING_TRAVEL
+# The tip positions each state allows, as closed ranges.
+_RANGES = {
+    LatchState.HOUSED: (REST - 1e-3, -1e-9),
+    LatchState.ENGAGING_FLEXNUT: (REST, 0.0),
+    LatchState.TRAVERSING: (0.0, TSLOT),
+    LatchState.TIGHTENING: (TSLOT, TIGHT),
+    LatchState.LATCHED: (TSLOT, TIGHT),
+    LatchState.LOOSENING: (TSLOT, TIGHT),
+    LatchState.RETRACTING: (REST, TSLOT),
+}
+ODD_PREFIX = "a%s,%%d,b,"
+
+
+def per_sample_csv(trace, prefix=""):
+    """The trace CSV formatted one sample at a time."""
+    return "".join("%s%.9g,%.9g,%.9g,%s\n" % (
+        prefix, s.t, s.current, s.position, s.state.value)
+        for s in trace.samples)
+
+
+def written_csv(trace, prefix=""):
+    fh = io.StringIO()
+    trace.write_csv(fh, prefix)
+    return fh.getvalue()
+
+
+@st.composite
+def csv_drives(draw):
+    """The trace of a random drive: any start state, every direction (so
+    OFF and wrong-direction holds), with or without a stop state."""
+    state = draw(st.sampled_from(list(LatchState)))
+    lo, hi = _RANGES[state]
+    fsm = LatchFsm(state, draw(st.sampled_from([lo, hi])
+                               | st.floats(min_value=lo, max_value=hi)))
+    dt = draw(st.sampled_from([MIN_DT, 1.23e-3, MAX_DT])
+              | st.floats(min_value=MIN_DT, max_value=MAX_DT))
+    t0 = draw(st.sampled_from([0.0, 17.5])
+              | st.floats(min_value=0.0, max_value=1e3))
+    commands = st.builds(DriveCommand, st.floats(min_value=3.0, max_value=6.0),
+                         st.sampled_from(list(Direction)))
+    stop = draw(st.none() | st.sampled_from(list(LatchState)))
+    if stop is None:
+        schedule = draw(st.lists(st.tuples(commands, st.integers(1, 400)),
+                                 max_size=4))
+        return run_schedule(fsm, [(cmd, n * dt) for cmd, n in schedule], dt,
+                            t0)[1]
+    steps = draw(st.integers(min_value=0, max_value=1500))
+    return run_until(fsm, draw(commands), dt, stop, steps * dt, t0)[1]
+
+
+def one_run(fsm, cmd, n, dt=MIN_DT):
+    trace = run_schedule(fsm, [(cmd, n * dt)], dt, 3.25)[1]
+    assert [run.n for run in trace.runs] == [n]
+    return trace
+
+
+class TestCsvBytes:
+    """``write_csv`` writes the bytes of formatting each sample alone."""
+
+    @given(trace=csv_drives(),
+           prefix=st.sampled_from(["", "angle,", ODD_PREFIX])
+           | st.text(alphabet="a,%\u00e9 ", max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_random_drives(self, trace, prefix):
+        assert written_csv(trace, prefix) == per_sample_csv(trace, prefix)
+
+    @pytest.mark.parametrize("fsm, cmd", [
+        (defaults.default_latch_fsm(), CW3),
+        (LatchFsm(LatchState.LATCHED, TSLOT), CCW6),
+    ])
+    def test_one_row_entry_run(self, fsm, cmd):
+        trace = one_run(fsm, cmd, 1, 1.23e-3)
+        assert trace.runs[0].state is not fsm.state
+        assert written_csv(trace, ODD_PREFIX) == per_sample_csv(trace,
+                                                                ODD_PREFIX)
+
+    def test_tightening_run_ending_unlatched(self):
+        trace = one_run(LatchFsm(LatchState.TIGHTENING, TSLOT), CW3, 50,
+                        1.23e-3)
+        assert trace.state[-1] is LatchState.TIGHTENING
+        assert written_csv(trace, ODD_PREFIX) == per_sample_csv(trace,
+                                                                ODD_PREFIX)
+
+    # All rows of a run but its last (which carries the end state) are
+    # written a block of 64 at a time: runs of one and two blocks, each
+    # +- 1 row, and of many blocks.
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 66, 67, 127, 128, 129,
+                                   130, 131, 193, 257, 1000])
+    @pytest.mark.parametrize("fsm, cmd", [
+        (defaults.default_latch_fsm(), DRIVE_OFF),               # a hold
+        (LatchFsm(LatchState.TRAVERSING, 0.0), CW3),             # constant
+        (LatchFsm(LatchState.RETRACTING, TSLOT), CCW6),          # loads
+        (LatchFsm(LatchState.TIGHTENING, TSLOT), CW3),
+    ])
+    def test_runs_around_a_block(self, fsm, cmd, n):
+        trace = one_run(fsm, cmd, n)
+        for prefix in ("", ODD_PREFIX):
+            assert written_csv(trace, prefix) == per_sample_csv(trace, prefix)
 
 
 @pytest.fixture
