@@ -38,7 +38,7 @@ def _load_document(path: str):
         raise _UsageError(f"cannot read scenario file: {exc}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise _UsageError(f"malformed scenario file {path}: {exc}")
 
 

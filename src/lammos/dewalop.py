@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Optional
 
 from . import defaults
 from .latch import LatchFsm, LatchState
@@ -25,12 +26,17 @@ from .mechlib import (
 )
 
 
-class InsertionError(RuntimeError):
-    """Robot cannot be pushed into the pipe in its current posture."""
-
-
 class LegStateError(RuntimeError):
-    """Leg command violates a latch or posture precondition."""
+    """A command violates a latch or posture precondition, at leg ``leg``
+    if one is named."""
+
+    def __init__(self, reason: str, leg: Optional[str] = None):
+        super().__init__(reason)
+        self.leg = leg
+
+
+class InsertionError(LegStateError):
+    """Robot cannot be pushed into the pipe in its current posture."""
 
 
 @dataclass(frozen=True)
@@ -136,12 +142,14 @@ def insertion_force_required(pipe: PipeEnvironment,
 def lower_leg(leg: WheeledLeg, target_angle: float) -> WheeledLeg:
     """Rotate the leg about its base hinge (pure rotation at the joint)."""
     if leg.angle_latch.state is not LatchState.HOUSED:
-        raise LegStateError(f"angle latch engaged on leg {leg.leg_id}")
+        raise LegStateError(f"angle latch engaged on leg {leg.leg_id}",
+                            leg.leg_id)
     if leg.extension != 0.0:
         raise LegStateError(f"leg {leg.leg_id} is extended; retract before "
-                            "turning the hinge")
+                            "turning the hinge", leg.leg_id)
     if leg.ring != "top":
-        raise LegStateError(f"leg {leg.leg_id} has no lowering actuator")
+        raise LegStateError(f"leg {leg.leg_id} has no lowering actuator",
+                            leg.leg_id)
     return replace(leg, hinge_angle=target_angle)
 
 

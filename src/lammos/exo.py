@@ -8,6 +8,7 @@ comes from an actual latch-drive trace so the two modules stay consistent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -37,8 +38,8 @@ class ExoJoint:
     def __post_init__(self):
         # Raises VoltageRangeError outside the motor's characterized range.
         self.motor.stall_torque(self.supply_voltage)
-        if self.standby_power < 0:
-            raise ValueError("standby power must be non-negative")
+        if not (0 <= self.standby_power < math.inf):
+            raise ValueError("standby power must be finite and non-negative")
         if self.load_torque < 0:
             raise ValueError("load torque must be non-negative")
 
@@ -112,6 +113,8 @@ def energy_comparison(joint: ExoJoint, timeline: LoadTimeline,
     """Integrate holding power with and without engaging the lock."""
     check_lock_at(lock_at, timeline.end_time)
     unlocked = replace(joint, lock=_housed(joint.lock))
+    # Never locking is locking at the end: the standby term then adds 0.0.
+    lock = timeline.end_time if lock_at is None else lock_at
     held = 0.0
     locked = 0.0
     for t0, t1, load in timeline.segments():
@@ -120,15 +123,10 @@ def energy_comparison(joint: ExoJoint, timeline: LoadTimeline,
         except UnholdableLoadError as exc:
             raise UnholdableLoadError(f"at t={t0:.3f} s: {exc}") from exc
         held += p_unlocked * (t1 - t0)
-        if lock_at is None:
-            locked += p_unlocked * (t1 - t0)
-        else:
-            before = max(t0, min(t1, lock_at))
-            locked += p_unlocked * (before - t0)
-            locked += joint.standby_power * (t1 - before)
-    one_shot = 0.0
-    if lock_at is not None:
-        one_shot = latch_energy(joint, dt=dt)
+        before = max(t0, min(t1, lock))
+        locked += p_unlocked * (before - t0)
+        locked += joint.standby_power * (t1 - before)
+    one_shot = 0.0 if lock_at is None else latch_energy(joint, dt=dt)
     # Grouped so that locking at the end of the timeline yields exactly
     # -one_shot (held and the locked hold part cancel bitwise).
     savings = (held - locked) - one_shot

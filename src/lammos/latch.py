@@ -21,6 +21,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from . import defaults
 from .mechlib import (
+    CSV_NUMBER,
     line_point,
     motor_line,
     motor_operating_point,  # noqa: F401  (perfbench/tracer.py wraps it here)
@@ -385,21 +386,21 @@ class CurrentTrace:
 
     def write_csv(self, fh, prefix: str = "") -> None:
         """Write one ``TRACE_CSV_HEADER`` row per sample, after ``prefix``,
-        to the open text file ``fh``; numbers as ``csv_number`` writes them.
+        to the open text file ``fh``; numbers in ``mechlib.CSV_NUMBER``.
 
         A run's prefix, state and constant current are formatted once into
         a row template; its rows fill that template ``CSV_BLOCK`` at a time,
         and one last write holds the rest and the row of its end state. The
         bytes are those of formatting each sample alone."""
         write, times = fh.write, self._times()
-        prefix = prefix.replace("%", "%%")
+        prefix, number = prefix.replace("%", "%%"), CSV_NUMBER + ","
         for run in self.runs:
             if isinstance(run.current, array):
                 rows = zip(islice(times, run.n), run.current, run.positions())
-                row = prefix + "%.9g,%.9g,%.9g,"
+                row = prefix + number * 3
             else:
                 rows = zip(islice(times, run.n), run.positions())
-                row = prefix + "%%.9g,%.9g,%%.9g," % run.current
+                row = prefix + number + number % run.current + number
             template = row + run.state.value + "\n"
             blocks, rest = divmod(run.n - 1, CSV_BLOCK)
             block = template * CSV_BLOCK

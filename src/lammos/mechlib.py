@@ -16,6 +16,7 @@ from dataclasses import dataclass
 STANDARD_GRAVITY = 9.80665  # m/s^2
 
 TSLOT_MAX_FORCE_N = 5000.0  # inclusive holding limit of the profile nut
+CSV_NUMBER = "%.9g"  # the number format of every CSV artifact
 
 
 class VoltageRangeError(ValueError):
@@ -23,8 +24,8 @@ class VoltageRangeError(ValueError):
 
 
 def csv_number(x: float) -> str:
-    """The number format of every CSV artifact: nine significant digits."""
-    return "%.9g" % x
+    """``x`` in ``CSV_NUMBER``: nine significant digits."""
+    return CSV_NUMBER % x
 
 
 def gram_cm_to_newton_m(torque_gcm: float) -> float:
@@ -202,6 +203,8 @@ class PlateSpec:
         if not all(0 < x < math.inf
                    for x in (self.length, self.height, self.thickness)):
             raise ValueError("plate dimensions must be finite and positive")
+        if self.section_modulus == 0.0:
+            raise ValueError("plate section modulus underflows to zero")
 
     @property
     def section_modulus(self) -> float:

@@ -16,7 +16,6 @@ from typing import Any, Optional
 
 from . import defaults
 from .dewalop import (
-    InsertionError,
     LegStateError,
     MaintenanceUnit,
     PipeEnvironment,
@@ -195,45 +194,37 @@ class _Run:
                                        snapshot_hash=snapshot_hash(self.unit)))
 
 
-class _StepFailure(Exception):
-    """The engine's own step failure, at leg ``leg`` if one is named."""
-
-    def __init__(self, reason: str, leg: Optional[str] = None):
-        super().__init__(reason)
-        self.leg = leg
-
-
 def _require(run: _Run, holds, reason: str):
     """Fail the step at the first leg for which ``holds(leg)`` is false."""
     for leg in run.unit.legs:
         if not holds(leg):
-            raise _StepFailure(reason, leg=leg.leg_id)
+            raise LegStateError(reason, leg=leg.leg_id)
 
 
-def _drive_latches(run: _Run, which: str, params: dict, actor: str):
-    """Drive every leg's selected latch as ``actor``'s row in ``_ACTIONS``
+def _drive_latches(run: _Run, which: str, step: StepSpec):
+    """Drive every leg's selected latch as ``step``'s row in ``_ACTIONS``
     says: clockwise to Latched, counterclockwise to Housed.
 
     Every leg's latch of a kind is the one mechanism in one state (all
     legs start alike and each action sets them alike), so the first leg's
     latch is driven once and its drive is logged and set on every leg.
     """
-    direction = _ACTIONS[actor][2]
+    direction = _ACTIONS[step.action][2]
     cw = direction is Direction.CLOCKWISE
     stop_state = LatchState.LATCHED if cw else LatchState.HOUSED
-    cmd = DriveCommand(params.get("voltage_V", defaults.LATCH_VOLTAGE if cw
-                                  else defaults.UNLATCH_VOLTAGE), direction)
+    voltage = defaults.LATCH_VOLTAGE if cw else defaults.UNLATCH_VOLTAGE
+    cmd = DriveCommand(step.parameters.get("voltage_V", voltage), direction)
     first = run.unit.legs[0]
     fsm, trace, events = run_until(getattr(first, which), cmd,
                                    run.scenario.dt, stop_state, t0=run.t)
     if fsm.state is not stop_state:
-        raise _StepFailure(f"{which} did not reach {stop_state.value} within "
-                           f"{LATCH_TIMEOUT:.0f} s", leg=first.leg_id)
+        raise LegStateError(f"{which} did not reach {stop_state.value} within "
+                            f"{LATCH_TIMEOUT:.0f} s", leg=first.leg_id)
     run.unit = replace(run.unit, legs=tuple(
         replace(leg, **{which: fsm}) for leg in run.unit.legs))
-    run.traces.append((actor, trace))
+    run.traces.append((step.action, trace))
     for t_event, ev in events:
-        run.emit(actor, ev.name, t_event)
+        run.emit(step.action, ev.name, t_event)
     # Floored: a drive already at its target takes no step and ends at t0.
     run.t += max(0.0, trace.duration - run.t)
 
@@ -241,98 +232,93 @@ def _drive_latches(run: _Run, which: str, params: dict, actor: str):
 def _turn_top_legs(run: _Run, angle: float):
     """Turn every top leg about its hinge to ``angle`` (0: perpendicular)."""
     for leg in run.unit.ring_legs("top"):
-        try:
-            run.unit = run.unit.with_leg(lower_leg(leg, angle))
-        except LegStateError as exc:
-            raise _StepFailure(str(exc), leg=leg.leg_id)
-    run.t += MECHANICAL_ACTION_DURATION
+        run.unit = run.unit.with_leg(lower_leg(leg, angle))
 
 
-def _do_lower_legs(run: _Run, params: dict):
-    angle = (math.radians(params["angle_deg"]) if "angle_deg" in params
-             else defaults.LOWERING_ANGLE)
+# A handler checks its step's preconditions, raising LegStateError, changes
+# the unit and returns its completion line; ``run_scenario`` does the rest.
+def _do_lower_legs(run: _Run, step: StepSpec) -> str:
+    angle = (math.radians(step.parameters["angle_deg"])
+             if "angle_deg" in step.parameters else defaults.LOWERING_ANGLE)
     _turn_top_legs(run, angle)
-    run.emit("lower_legs", f"top legs lowered to {math.degrees(angle):.1f} deg")
+    return f"top legs lowered to {math.degrees(angle):.1f} deg"
 
 
-def _do_move_into_pipe(run: _Run, params: dict):
+def _do_move_into_pipe(run: _Run, step: StepSpec) -> str:
     if run.unit.in_pipe:
-        raise _StepFailure("robot is already inside the pipe")
+        raise LegStateError("robot is already inside the pipe")
     lowered = all(l.hinge_angle != 0.0 for l in run.unit.ring_legs("top"))
     clearance = insertion_clearance(run.scenario.pipe, lowered)
     if clearance < 0:
-        if not params.get("acknowledge_push_force", False):
-            raise _StepFailure(
+        if not step.parameters.get("acknowledge_push_force", False):
+            raise LegStateError(
                 f"clearance {clearance:.3f} m requires acknowledged push force")
         force = insertion_force_required(run.scenario.pipe, lowered)
-        run.emit("move_into_pipe", f"manual push {force:.0f} N per leg acknowledged")
+        run.emit(step.action, f"manual push {force:.0f} N per leg acknowledged")
     run.unit = replace(run.unit, in_pipe=True)
-    run.t += MECHANICAL_ACTION_DURATION
-    run.emit("move_into_pipe", f"inserted with clearance {clearance:.3f} m")
+    return f"inserted with clearance {clearance:.3f} m"
 
 
-def _do_raise_legs(run: _Run, params: dict):
+def _do_raise_legs(run: _Run, step: StepSpec) -> str:
     _turn_top_legs(run, 0.0)
-    run.emit("raise_legs", "top legs perpendicular to unit axis")
+    return "top legs perpendicular to unit axis"
 
 
-def _do_latch_angle(run: _Run, params: dict):
+def _do_latch_angle(run: _Run, step: StepSpec) -> str:
     _require(run, lambda leg: leg.hinge_angle == 0.0, "hinge not perpendicular")
-    _drive_latches(run, "angle_latch", params, "latch_angle")
-    run.emit("latch_angle", "all angle latches engaged")
+    _drive_latches(run, "angle_latch", step)
+    return "all angle latches engaged"
 
 
-def _do_extend_legs(run: _Run, params: dict):
+def _do_extend_legs(run: _Run, step: StepSpec) -> str:
     if not run.unit.in_pipe:
-        raise _StepFailure("robot is not inside the pipe")
+        raise LegStateError("robot is not inside the pipe")
     run.unit = wall_press(run.unit, run.scenario.pipe)
-    run.t += MECHANICAL_ACTION_DURATION
-    run.emit("extend_legs", "wall press complete, unit centered")
+    return "wall press complete, unit centered"
 
 
-def _do_latch_flat(run: _Run, params: dict):
+def _do_latch_flat(run: _Run, step: StepSpec) -> str:
     if not run.unit.centered:
-        raise _StepFailure("unit not centered; wall press required before latching")
-    _drive_latches(run, "flat_latch", params, "latch_flat")
-    run.emit("latch_flat", "legs integrated into structure")
+        raise LegStateError("unit not centered; wall press required before latching")
+    _drive_latches(run, "flat_latch", step)
+    return "legs integrated into structure"
 
 
-def _do_unlatch_flat(run: _Run, params: dict):
+def _do_unlatch_flat(run: _Run, step: StepSpec) -> str:
     _require(run, lambda leg: leg.flat_latch.state is LatchState.LATCHED,
              "flat latch not engaged")
-    _drive_latches(run, "flat_latch", params, "unlatch_flat")
-    run.emit("unlatch_flat", "flat latches housed")
+    _drive_latches(run, "flat_latch", step)
+    return "flat latches housed"
 
 
-def _do_retract_legs(run: _Run, params: dict):
+def _do_retract_legs(run: _Run, step: StepSpec) -> str:
     _require(run, lambda leg: leg.flat_latch.state is not LatchState.LATCHED,
              "extension frozen by flat latch")
     run.unit = replace(run.unit, centered=False, legs=tuple(
         replace(leg, extension=0.0) for leg in run.unit.legs))
-    run.t += MECHANICAL_ACTION_DURATION
-    run.emit("retract_legs", "legs retracted")
+    return "legs retracted"
 
 
-def _do_unlatch_angle(run: _Run, params: dict):
+def _do_unlatch_angle(run: _Run, step: StepSpec) -> str:
     # All latches first, then all extensions: each is alike on every leg.
     _require(run, lambda leg: leg.angle_latch.state is LatchState.LATCHED,
              "angle latch not engaged")
     _require(run, lambda leg: leg.extension == 0.0,
              "retract legs before unlatching the hinge")
-    _drive_latches(run, "angle_latch", params, "unlatch_angle")
-    run.emit("unlatch_angle", "angle latches housed")
+    _drive_latches(run, "angle_latch", step)
+    return "angle latches housed"
 
 
-def _do_exit_pipe(run: _Run, params: dict):
+def _do_exit_pipe(run: _Run, step: StepSpec) -> str:
     if not run.unit.in_pipe:
-        raise _StepFailure("robot is not inside the pipe")
+        raise LegStateError("robot is not inside the pipe")
     run.unit = replace(run.unit, in_pipe=False)
-    run.t += MECHANICAL_ACTION_DURATION
-    run.emit("exit_pipe", "robot outside the pipe")
+    return "robot outside the pipe"
 
 
 # Every action: its handler, the JSON kind (as in ``_SHAPES``) of each step
-# parameter it reads, and the direction a latch action drives.
+# parameter it reads, and the direction a latch action drives (None: a
+# mechanical action, which takes MECHANICAL_ACTION_DURATION).
 _VOLTAGE = {"voltage_V": float}
 _ACTIONS = {
     "lower_legs": (_do_lower_legs, {"angle_deg": float}, None),
@@ -356,18 +342,20 @@ def run_scenario(scenario: Scenario):
     for number, step in enumerate(scenario.steps, 1):
         before = run.unit, run.t, len(run.entries), len(run.traces)
         try:
-            _ACTIONS[step.action][0](run, step.parameters)
-        except (_StepFailure, LegStateError, InsertionError) as failure:
-            # Abort safety: undo the step, back to the snapshot before it. A
-            # posture error raised by dewalop names no leg.
+            line = _ACTIONS[step.action][0](run, step)
+        except LegStateError as failure:
+            # Abort safety: undo the step, back to the snapshot before it.
             run.unit, run.t, logged, traced = before
             del run.entries[logged:], run.traces[traced:]
             run.emit("scenario", f"abort at step {number} ({step.action}): "
                                  f"{failure}")
             verdict = Verdict(passed=False, failed_step=number,
                               failed_action=step.action, reason=str(failure),
-                              offending_leg=getattr(failure, "leg", None))
+                              offending_leg=failure.leg)
             break
+        if _ACTIONS[step.action][2] is None:
+            run.t += MECHANICAL_ACTION_DURATION
+        run.emit(step.action, line)
     else:
         run.emit("scenario", f"complete {scenario.name}")
     return run.unit, EventLog(tuple(run.entries)), verdict, tuple(run.traces)

@@ -87,7 +87,14 @@ MALFORMED = {
     "bad_dt_nan": ("run", MECHANICAL, ("--dt", "nan")),
     "dt_above_max": ("run", {**EXO, "dt_s": 0.010000000000000002}, ()),
     "bad_name_path": ("run", _with(MECHANICAL, "../escape", "name"), ()),
+    # Nested deeper than the JSON reader recurses; a str is the file's text.
+    "deep_name": ("run", '{"name": ' + "[" * 5000 + "]" * 5000 + "}", ()),
 }
+
+
+def _write_document(path: Path, doc) -> None:
+    """Write ``doc`` to ``path`` as JSON, or as it stands if a str."""
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
 
 
 def _call(command, doc_path, out, extra=()):
@@ -234,7 +241,7 @@ class TestBoundary:
     def test_malformed_kind_exits_two(self, kind, tmp_path, capsys):
         command, doc, extra = MALFORMED[kind]
         doc_path = tmp_path / "doc.json"
-        doc_path.write_text(json.dumps(doc))
+        _write_document(doc_path, doc)
         out = tmp_path / "sub" / "out"
         assert _call(command, doc_path, out, extra) == 2
         assert list(tmp_path.rglob("*")) == [doc_path]
@@ -282,7 +289,7 @@ class TestBoundary:
     def test_check_and_run_agree(self, doc, tmp_path, capsys):
         if doc in MALFORMED:
             doc_path = tmp_path / "doc.json"
-            doc_path.write_text(json.dumps(MALFORMED[doc][1]))
+            _write_document(doc_path, MALFORMED[doc][1])
         else:
             doc_path = SCENARIOS / doc
         checked = _call("check", doc_path, None)
@@ -356,7 +363,8 @@ class TestSf:
 
     @pytest.mark.parametrize("flag", [
         ("--yield", "nan"), ("--yield", "inf"),
-        ("--plate", "nan,0.04,0.009"), ("--plate", "0.116,inf,0.009")])
+        ("--plate", "nan,0.04,0.009"), ("--plate", "0.116,inf,0.009"),
+        ("--plate", "0.1,1e-110,1e-110")])
     def test_non_finite_plate_or_yield_exits_two(self, flag, capsys):
         assert run_cli("sf", "--load", "1000", *flag) == 2
         assert capsys.readouterr().out == ""

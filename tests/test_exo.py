@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lammos import defaults
 from lammos.exo import (
@@ -33,6 +34,13 @@ def locked_joint(load=0.0, **kwargs):
         joint.lock, state=LatchState.LATCHED,
         screw_tip_position=joint.lock.tslot_engagement_position)
     return dataclasses.replace(joint, lock=lock)
+
+
+class TestJoint:
+    @pytest.mark.parametrize("standby", [-0.1, float("inf"), float("nan")])
+    def test_standby_power_must_be_finite_and_non_negative(self, standby):
+        with pytest.raises(ValueError, match="standby power"):
+            unlocked_joint(standby=standby)
 
 
 class TestHoldPower:
@@ -126,6 +134,25 @@ class TestEnergyComparison:
         assert result.held_energy == pytest.approx(100 * p0 + 200 * p1,
                                                    rel=1e-12)
         assert result.savings == 0.0
+
+    @given(voltage=st.floats(3.0, 6.0), standby=st.floats(0.0, 1.0),
+           gaps=st.lists(st.floats(0.001, 100.0), min_size=2, max_size=6),
+           fractions=st.lists(st.floats(0.0, 0.95), min_size=6, max_size=6))
+    def test_never_locking_holds_throughout(self, voltage, standby, gaps,
+                                            fractions):
+        # Never locking integrates exactly as locking at the end would.
+        joint = unlocked_joint(voltage=voltage, standby=standby)
+        stall = joint.motor.stall_torque(voltage)
+        times = [0.0]
+        for gap in gaps:
+            times.append(times[-1] + gap)
+        timeline = LoadTimeline(points=tuple(
+            (t, f * stall) for t, f in zip(times[:-1], fractions)),
+            end_time=times[-1])
+        result = energy_comparison(joint, timeline, lock_at=None)
+        assert result.locked_energy == result.held_energy
+        assert result.savings == 0.0
+        assert result.latch_energy == 0.0
 
     def test_unholdable_load_names_timestamp(self):
         stall = defaults.default_motor().stall_torque(3.0)

@@ -209,3 +209,8 @@ class TestPlateBending:
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError):
             PlateSpec(thickness=-0.009)
+
+    def test_underflowing_section_modulus_rejected(self):
+        # Each dimension is positive, but h^2 * w / 6 underflows to zero.
+        with pytest.raises(ValueError, match="section modulus"):
+            PlateSpec(length=0.1, height=1e-110, thickness=1e-110)
