@@ -38,7 +38,9 @@ def _load_document(path: str):
         raise _UsageError(f"cannot read scenario file: {exc}")
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    # JSONDecodeError is a ValueError, as is an integer over the digit limit;
+    # a RecursionError is a document nested too deeply.
+    except (ValueError, RecursionError) as exc:
         raise _UsageError(f"malformed scenario file {path}: {exc}")
 
 

@@ -203,8 +203,12 @@ class PlateSpec:
         if not all(0 < x < math.inf
                    for x in (self.length, self.height, self.thickness)):
             raise ValueError("plate dimensions must be finite and positive")
-        if self.section_modulus == 0.0:
-            raise ValueError("plate section modulus underflows to zero")
+        try:
+            finite = 0.0 < self.section_modulus < math.inf
+        except OverflowError:  # height ** 2 past the largest float
+            finite = False
+        if not finite:
+            raise ValueError("plate section modulus must be finite and non-zero")
 
     @property
     def section_modulus(self) -> float:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Optional
 
 from . import defaults
@@ -194,16 +195,9 @@ class _Run:
                                        snapshot_hash=snapshot_hash(self.unit)))
 
 
-def _require(run: _Run, holds, reason: str):
-    """Fail the step at the first leg for which ``holds(leg)`` is false."""
-    for leg in run.unit.legs:
-        if not holds(leg):
-            raise LegStateError(reason, leg=leg.leg_id)
-
-
-def _drive_latches(run: _Run, which: str, step: StepSpec):
+def _drive_latches(which: str, line: str, run: _Run, step: StepSpec) -> str:
     """Drive every leg's selected latch as ``step``'s row in ``_ACTIONS``
-    says: clockwise to Latched, counterclockwise to Housed.
+    says: clockwise to Latched, counterclockwise to Housed. Returns ``line``.
 
     Every leg's latch of a kind is the one mechanism in one state (all
     legs start alike and each action sets them alike), so the first leg's
@@ -227,6 +221,7 @@ def _drive_latches(run: _Run, which: str, step: StepSpec):
         run.emit(step.action, ev.name, t_event)
     # Floored: a drive already at its target takes no step and ends at t0.
     run.t += max(0.0, trace.duration - run.t)
+    return line
 
 
 def _turn_top_legs(run: _Run, angle: float):
@@ -235,8 +230,9 @@ def _turn_top_legs(run: _Run, angle: float):
         run.unit = run.unit.with_leg(lower_leg(leg, angle))
 
 
-# A handler checks its step's preconditions, raising LegStateError, changes
-# the unit and returns its completion line; ``run_scenario`` does the rest.
+# A handler changes the unit and returns its completion line; it raises
+# LegStateError only where it reads the pipe or a ``dewalop`` call refuses.
+# ``run_scenario`` checks the step's preconditions first and does the rest.
 def _do_lower_legs(run: _Run, step: StepSpec) -> str:
     angle = (math.radians(step.parameters["angle_deg"])
              if "angle_deg" in step.parameters else defaults.LOWERING_ANGLE)
@@ -245,8 +241,6 @@ def _do_lower_legs(run: _Run, step: StepSpec) -> str:
 
 
 def _do_move_into_pipe(run: _Run, step: StepSpec) -> str:
-    if run.unit.in_pipe:
-        raise LegStateError("robot is already inside the pipe")
     lowered = all(l.hinge_angle != 0.0 for l in run.unit.ring_legs("top"))
     clearance = insertion_clearance(run.scenario.pipe, lowered)
     if clearance < 0:
@@ -264,73 +258,64 @@ def _do_raise_legs(run: _Run, step: StepSpec) -> str:
     return "top legs perpendicular to unit axis"
 
 
-def _do_latch_angle(run: _Run, step: StepSpec) -> str:
-    _require(run, lambda leg: leg.hinge_angle == 0.0, "hinge not perpendicular")
-    _drive_latches(run, "angle_latch", step)
-    return "all angle latches engaged"
-
-
 def _do_extend_legs(run: _Run, step: StepSpec) -> str:
-    if not run.unit.in_pipe:
-        raise LegStateError("robot is not inside the pipe")
     run.unit = wall_press(run.unit, run.scenario.pipe)
     return "wall press complete, unit centered"
 
 
-def _do_latch_flat(run: _Run, step: StepSpec) -> str:
-    if not run.unit.centered:
-        raise LegStateError("unit not centered; wall press required before latching")
-    _drive_latches(run, "flat_latch", step)
-    return "legs integrated into structure"
-
-
-def _do_unlatch_flat(run: _Run, step: StepSpec) -> str:
-    _require(run, lambda leg: leg.flat_latch.state is LatchState.LATCHED,
-             "flat latch not engaged")
-    _drive_latches(run, "flat_latch", step)
-    return "flat latches housed"
-
-
 def _do_retract_legs(run: _Run, step: StepSpec) -> str:
-    _require(run, lambda leg: leg.flat_latch.state is not LatchState.LATCHED,
-             "extension frozen by flat latch")
     run.unit = replace(run.unit, centered=False, legs=tuple(
         replace(leg, extension=0.0) for leg in run.unit.legs))
     return "legs retracted"
 
 
-def _do_unlatch_angle(run: _Run, step: StepSpec) -> str:
-    # All latches first, then all extensions: each is alike on every leg.
-    _require(run, lambda leg: leg.angle_latch.state is LatchState.LATCHED,
-             "angle latch not engaged")
-    _require(run, lambda leg: leg.extension == 0.0,
-             "retract legs before unlatching the hinge")
-    _drive_latches(run, "angle_latch", step)
-    return "angle latches housed"
-
-
 def _do_exit_pipe(run: _Run, step: StepSpec) -> str:
-    if not run.unit.in_pipe:
-        raise LegStateError("robot is not inside the pipe")
     run.unit = replace(run.unit, in_pipe=False)
     return "robot outside the pipe"
 
 
 # Every action: its handler, the JSON kind (as in ``_SHAPES``) of each step
-# parameter it reads, and the direction a latch action drives (None: a
-# mechanical action, which takes MECHANICAL_ACTION_DURATION).
+# parameter it reads, the direction a latch action drives (None: a
+# mechanical action, which takes MECHANICAL_ACTION_DURATION), and its
+# preconditions in the order they are checked, each as (holds, reason,
+# on_each_leg): ``holds`` takes a leg if ``on_each_leg``, else the unit.
 _VOLTAGE = {"voltage_V": float}
+_IN_PIPE = (lambda unit: unit.in_pipe, "robot is not inside the pipe", False)
 _ACTIONS = {
-    "lower_legs": (_do_lower_legs, {"angle_deg": float}, None),
-    "move_into_pipe": (_do_move_into_pipe, {"acknowledge_push_force": bool}, None),
-    "raise_legs": (_do_raise_legs, {}, None),
-    "latch_angle": (_do_latch_angle, _VOLTAGE, Direction.CLOCKWISE),
-    "extend_legs": (_do_extend_legs, {}, None),
-    "latch_flat": (_do_latch_flat, _VOLTAGE, Direction.CLOCKWISE),
-    "unlatch_flat": (_do_unlatch_flat, _VOLTAGE, Direction.COUNTERCLOCKWISE),
-    "retract_legs": (_do_retract_legs, {}, None),
-    "unlatch_angle": (_do_unlatch_angle, _VOLTAGE, Direction.COUNTERCLOCKWISE),
-    "exit_pipe": (_do_exit_pipe, {}, None),
+    "lower_legs": (_do_lower_legs, {"angle_deg": float}, None, ()),
+    "move_into_pipe": (
+        _do_move_into_pipe, {"acknowledge_push_force": bool}, None,
+        ((lambda unit: not unit.in_pipe, "robot is already inside the pipe",
+          False),)),
+    "raise_legs": (_do_raise_legs, {}, None, ()),
+    "latch_angle": (
+        partial(_drive_latches, "angle_latch", "all angle latches engaged"),
+        _VOLTAGE, Direction.CLOCKWISE,
+        ((lambda leg: leg.hinge_angle == 0.0, "hinge not perpendicular",
+          True),)),
+    "extend_legs": (_do_extend_legs, {}, None, (_IN_PIPE,)),
+    "latch_flat": (
+        partial(_drive_latches, "flat_latch", "legs integrated into structure"),
+        _VOLTAGE, Direction.CLOCKWISE,
+        ((lambda unit: unit.centered,
+          "unit not centered; wall press required before latching", False),)),
+    "unlatch_flat": (
+        partial(_drive_latches, "flat_latch", "flat latches housed"),
+        _VOLTAGE, Direction.COUNTERCLOCKWISE,
+        ((lambda leg: leg.flat_latch.state is LatchState.LATCHED,
+          "flat latch not engaged", True),)),
+    "retract_legs": (
+        _do_retract_legs, {}, None,
+        ((lambda leg: leg.flat_latch.state is not LatchState.LATCHED,
+          "extension frozen by flat latch", True),)),
+    "unlatch_angle": (
+        partial(_drive_latches, "angle_latch", "angle latches housed"),
+        _VOLTAGE, Direction.COUNTERCLOCKWISE,
+        ((lambda leg: leg.angle_latch.state is LatchState.LATCHED,
+          "angle latch not engaged", True),
+         (lambda leg: leg.extension == 0.0,
+          "retract legs before unlatching the hinge", True))),
+    "exit_pipe": (_do_exit_pipe, {}, None, (_IN_PIPE,)),
 }
 
 
@@ -341,8 +326,15 @@ def run_scenario(scenario: Scenario):
     verdict = Verdict(passed=True)
     for number, step in enumerate(scenario.steps, 1):
         before = run.unit, run.t, len(run.entries), len(run.traces)
+        handler, _, direction, requires = _ACTIONS[step.action]
         try:
-            line = _ACTIONS[step.action][0](run, step)
+            # A per-leg precondition fails at the first leg that breaks it.
+            for holds, reason, on_each_leg in requires:
+                for subject in run.unit.legs if on_each_leg else (run.unit,):
+                    if not holds(subject):
+                        leg = subject.leg_id if on_each_leg else None
+                        raise LegStateError(reason, leg=leg)
+            line = handler(run, step)
         except LegStateError as failure:
             # Abort safety: undo the step, back to the snapshot before it.
             run.unit, run.t, logged, traced = before
@@ -353,7 +345,7 @@ def run_scenario(scenario: Scenario):
                               failed_action=step.action, reason=str(failure),
                               offending_leg=failure.leg)
             break
-        if _ACTIONS[step.action][2] is None:
+        if direction is None:
             run.t += MECHANICAL_ACTION_DURATION
         run.emit(step.action, line)
     else:
@@ -367,7 +359,7 @@ def run_scenario(scenario: Scenario):
 # list of that shape, and a type (or a tuple of types) is a JSON value; float
 # stands for any finite number. A step's keys are those some action reads.
 _COMMON = {"name": str, "type": str, "dt_s": float}
-_STEP_PARAMETERS = {name: kind for _, reads, _ in _ACTIONS.values()
+_STEP_PARAMETERS = {name: kind for _, reads, _, _ in _ACTIONS.values()
                     for name, kind in reads.items()}
 _SHAPES = {
     "dewalop": {**_COMMON, "pipe": {"inner_diameter_m": float},

@@ -89,6 +89,9 @@ MALFORMED = {
     "bad_name_path": ("run", _with(MECHANICAL, "../escape", "name"), ()),
     # Nested deeper than the JSON reader recurses; a str is the file's text.
     "deep_name": ("run", '{"name": ' + "[" * 5000 + "]" * 5000 + "}", ()),
+    # An integer longer than the 4,300 digits Python converts from a string.
+    "huge_int": ("check", json.dumps({**MECHANICAL, "dt_s": 1}).replace(
+        '"dt_s": 1', '"dt_s": 1' + "0" * 5000), ()),
 }
 
 
@@ -142,6 +145,15 @@ class TestRun:
         assert code == 0
         assert (tmp_path / "canonical-insertion_events.csv").exists()
         assert not (tmp_path / "canonical-insertion_trace.csv").exists()
+
+    @pytest.mark.parametrize("emit", ["trace", "log"])
+    def test_exo_trace_or_log_alone_writes_the_comparison(self, emit, tmp_path,
+                                                          capsys):
+        code = run_cli("run", "--config", str(SCENARIOS / "exo_hold_600s.json"),
+                       "--out", str(tmp_path), "--dt", "0.005", "--emit", emit)
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == [
+            "exo-hold-600s_comparison.csv"]
 
     def test_exo_scenario(self, tmp_path, capsys):
         code = run_cli("run", "--config", str(SCENARIOS / "exo_hold_600s.json"),
@@ -364,7 +376,8 @@ class TestSf:
     @pytest.mark.parametrize("flag", [
         ("--yield", "nan"), ("--yield", "inf"),
         ("--plate", "nan,0.04,0.009"), ("--plate", "0.116,inf,0.009"),
-        ("--plate", "0.1,1e-110,1e-110")])
+        ("--plate", "0.1,1e-110,1e-110"), ("--plate", "1e300,1e300,1e300"),
+        ("--plate", "1,1e154,1e200")])
     def test_non_finite_plate_or_yield_exits_two(self, flag, capsys):
         assert run_cli("sf", "--load", "1000", *flag) == 2
         assert capsys.readouterr().out == ""

@@ -166,6 +166,13 @@ class TestLoadPath:
         assert path.actuator_share == 1500.0
         assert "actuator overload" in path.failures
 
+    def test_actuator_carries_its_max_load_exactly(self):
+        # The 1000 N limit is inclusive: one float above it overloads.
+        leg = raised_unit().legs[0]
+        above = math.nextafter(1000.0, math.inf)
+        assert leg_load_path(leg, 1000.0).failures == ()
+        assert leg_load_path(leg, above).failures == ("actuator overload",)
+
     def test_zero_force(self):
         path = leg_load_path(raised_unit().legs[0], 0.0)
         assert path.actuator_share == 0.0 and path.structure_share == 0.0

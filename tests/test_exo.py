@@ -78,6 +78,15 @@ class TestHoldPower:
 
 
 class TestEnergyComparison:
+    def test_a_latched_lock_is_compared_from_housed(self):
+        # The comparison starts the lock housed, whatever its given state.
+        timeline = LoadTimeline(points=((0.0, 0.2), (30.0, 0.1)),
+                                end_time=60.0)
+        housed, latched = (energy_comparison(joint, timeline, 6.0, dt=DT)
+                           for joint in (unlocked_joint(), locked_joint()))
+        assert ([float.hex(x) for x in dataclasses.astuple(latched)]
+                == [float.hex(x) for x in dataclasses.astuple(housed)])
+
     def test_zero_duration_timeline(self):
         timeline = LoadTimeline(points=((0.0, 0.1),), end_time=0.0)
         result = energy_comparison(unlocked_joint(), timeline, lock_at=None)

@@ -214,3 +214,10 @@ class TestPlateBending:
         # Each dimension is positive, but h^2 * w / 6 underflows to zero.
         with pytest.raises(ValueError, match="section modulus"):
             PlateSpec(length=0.1, height=1e-110, thickness=1e-110)
+
+    @pytest.mark.parametrize("dimensions", [(1e300, 1e300, 1e300),
+                                            (1, 1e154, 1e200)])
+    def test_overflowing_section_modulus_rejected(self, dimensions):
+        # h ** 2 overflows at 1e300; at 1e154 it is finite, but h^2 * w is not.
+        with pytest.raises(ValueError, match="section modulus"):
+            PlateSpec(*dimensions)

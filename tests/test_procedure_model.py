@@ -97,3 +97,35 @@ def test_every_order_up_to_length_4_matches_the_table():
     results = ((order, predict(order), simulate(order)) for order in ORDERS)
     mismatches = [r for r in results if r[1] != r[2]]
     assert mismatches == []
+
+
+def reachable_postures() -> dict:
+    """Each posture the table reaches from START, keyed by its items, with
+    a shortest order that reaches it (breadth-first, actions sorted)."""
+    prefixes = {tuple(sorted(START.items())): ()}
+    frontier = [((), START)]
+    while frontier:
+        level, frontier = frontier, []
+        for prefix, posture in level:
+            for action in sorted(TABLE):
+                preconditions, effect = TABLE[action]
+                if any(_fails(c, posture) for c, _, _ in preconditions):
+                    continue
+                after = {**posture, **effect}
+                key = tuple(sorted(after.items()))
+                if key not in prefixes:
+                    prefixes[key] = prefix + (action,)
+                    frontier.append((prefix + (action,), after))
+    return prefixes
+
+
+def test_every_reachable_posture_and_action_matches_the_table():
+    # Orders up to length 4 start an action only from postures at most three
+    # steps deep; this reaches every posture, six steps deep at most.
+    prefixes = reachable_postures()
+    assert len(prefixes) == 14
+    orders = [prefix + (action,) for prefix in prefixes.values()
+              for action in sorted(TABLE)]
+    results = ((order, predict(order), simulate(order)) for order in orders)
+    mismatches = [r for r in results if r[1] != r[2]]
+    assert len(orders) == 140 and mismatches == []

@@ -403,19 +403,25 @@ class TestScenarioTypes:
 class TestReadme:
     def test_action_table_matches_actions(self):
         # README's action table lists each action once, with exactly the
-        # parameters it reads and the direction it drives.
+        # parameters it reads, the direction it drives and the reasons of
+        # its preconditions in check order, "(each leg)" on a per-leg one.
         readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
-        table = readme.split("| Action | Parameters it reads | Drives |\n")[1]
+        table = readme.split("| Action | Parameters it reads | Drives | "
+                             "Requires (failure reasons, in check order) |\n")[1]
         rows = table.split("\n\n")[0].splitlines()[1:]
-        listed = []
+        listed = {}
         for row in rows:
-            actions, reads, drives = row.strip("|").split("|")
+            action, reads, drives, requires = row.strip("|").split("|")
             direction = drives.split(",")[0].strip()
-            for action in re.findall(r"`(\w+)`", actions):
-                listed.append((action, set(re.findall(r'"(\w+)"', reads)),
-                               None if direction == "—" else direction))
-        assert sorted(action for action, _, _ in listed) == sorted(_ACTIONS)
-        for action, reads, direction in listed:
-            _, kinds, drive = _ACTIONS[action]
+            listed[action.strip(" `")] = (
+                set(re.findall(r'"(\w+)"', reads)),
+                None if direction == "—" else direction,
+                re.findall(r'"([^"]+)"( \(each leg\))?', requires))
+        assert len(rows) == len(listed)
+        assert sorted(listed) == sorted(_ACTIONS)
+        for action, (reads, direction, requires) in listed.items():
+            _, kinds, drive, checks = _ACTIONS[action]
             assert reads == set(kinds), action
             assert direction == (drive and drive.value), action
+            assert requires == [(reason, " (each leg)" if on_each_leg else "")
+                                for _, reason, on_each_leg in checks], action
