@@ -72,12 +72,6 @@ LEGAL_EDGES = frozenset({
 })
 
 
-# The states a clockwise drive acts in; a counterclockwise drive acts in the
-# others, and both act in Latched.
-_CLOCKWISE_STATES = frozenset({LatchState.HOUSED, LatchState.ENGAGING_FLEXNUT,
-                               LatchState.TRAVERSING, LatchState.TIGHTENING})
-
-
 class Direction(enum.Enum):
     CLOCKWISE = "clockwise"
     COUNTERCLOCKWISE = "counterclockwise"
@@ -156,18 +150,25 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
     friction = defaults.FLEXNUT_FRICTION_TORQUE
     tslot = fsm.tslot_engagement_position
     breakaway = _loosening_load()
-    # States the tip moves through at a constant load: the load, and the
-    # boundary where the tip is clamped as the exit transition fires.
-    moves = {
-        LatchState.ENGAGING_FLEXNUT: (friction, 0.0, LatchState.TRAVERSING,
-                                      "crossed-bracket-plane"),
-        LatchState.TRAVERSING: (friction, tslot, LatchState.TIGHTENING,
-                                "reached-tslot"),
-        LatchState.LOOSENING: (breakaway, tslot, LatchState.RETRACTING,
-                               "screw-clear-of-tslot"),
+    S, cw, ccw = LatchState, Direction.CLOCKWISE, Direction.COUNTERCLOCKWISE
+    # The cycle, one row per (state, direction) that acts; a pair it lacks
+    # holds. A row is the step's load (None: no current), the boundary where
+    # the tip is clamped as the exit transition fires (None: an entry step,
+    # which does not move the tip), the next state and the event. The
+    # Tightening load ramps from friction at the T-slot nut (``_tighten``).
+    cycle = {
+        (S.HOUSED, cw): (friction, None, S.ENGAGING_FLEXNUT, "engaging"),
+        (S.ENGAGING_FLEXNUT, cw): (friction, 0.0, S.TRAVERSING,
+                                   "crossed-bracket-plane"),
+        (S.TRAVERSING, cw): (friction, tslot, S.TIGHTENING, "reached-tslot"),
+        (S.TIGHTENING, cw): (friction, tslot, S.LATCHED, "latched"),
+        (S.LATCHED, cw): (None, None, S.LATCHED, "already-latched"),
+        (S.LATCHED, ccw): (breakaway, None, S.LOOSENING, "breakaway"),
+        (S.LOOSENING, ccw): (breakaway, tslot, S.RETRACTING,
+                             "screw-clear-of-tslot"),
         # The spring re-seats the motor against the bracket base.
-        LatchState.RETRACTING: (friction, defaults.HOUSED_REST_POSITION,
-                                LatchState.HOUSED, "housed"),
+        (S.RETRACTING, ccw): (friction, defaults.HOUSED_REST_POSITION,
+                              S.HOUSED, "housed"),
     }
     state, pos = fsm.state, fsm.screw_tip_position
     runs: list[Run] = []
@@ -188,53 +189,44 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
             raise ValueError("non-positive segment duration at "
                              f"t={t0 + steps * dt}")
         direction, voltage, line = cmd.direction, cmd.voltage, None
-        clockwise = direction is Direction.CLOCKWISE
+        clockwise = direction is cw
         end = steps + n
         while steps < end and state is not stop_state:
-            left, event = end - steps, None
-            if direction is Direction.OFF or (
-                    state is not LatchState.LATCHED
-                    and clockwise != (state in _CLOCKWISE_STATES)):
+            left, row = end - steps, cycle.get((state, direction))
+            if row is None:
                 # No current, no motion, no event (the screw holds by
                 # flexnut friction): the step repeats to the segment's end.
-                run = Run(left, state, 0.0, pos, None, pos, state)
-            elif state is LatchState.TIGHTENING:
+                run, event = Run(left, state, 0.0, pos, None, pos, state), None
+            elif state is S.TIGHTENING:
                 line = line or motor_line(motor, voltage)
                 currents, positions = array("d"), array("d")
                 k, tip, tight = _tighten(line, pos, tslot, left, dt,
                                          currents, positions)
-                if tight:
-                    # LatchFsm's invariant, checked where a per-step
-                    # snapshot would have checked it.
-                    if tip < tslot:
-                        raise ValueError("Latched requires the tip "
-                                         "at the T-slot nut")
-                    event = "latched"
-                run = Run(k, state, currents, positions, None, tip,
-                          LatchState.LATCHED if tight else state)
-            elif state in moves:
-                load, limit, exit_state, exit_event = moves[state]
-                speed, current = point(load)
-                advance = speed * pitch * dt
-                # The loop subtracts counterclockwise; adding the negated
-                # advance is the same IEEE operation, bit for bit.
-                delta = advance if clockwise else -advance
-                k, tip, reached = _fold(pos, delta, limit, left, clockwise)
-                if reached:
-                    tip, event = limit, exit_event
-                run = Run(k, state, current, pos, delta, tip,
-                          exit_state if reached else state)
-            else:  # an entry transition, or a clockwise step when Latched
-                after = state
-                if state is LatchState.HOUSED:
-                    _, sample = point(friction)
-                    after, event = LatchState.ENGAGING_FLEXNUT, "engaging"
-                elif clockwise:
-                    sample, event = 0.0, "already-latched"
+                # LatchFsm's invariant, checked where a per-step snapshot
+                # would have checked it.
+                if tight and tip < tslot:
+                    raise ValueError("Latched requires the tip at the T-slot "
+                                     "nut")
+                after, event = row[2:] if tight else (state, None)
+                run = Run(k, state, currents, positions, None, tip, after)
+            else:
+                load, limit, after, event = row
+                if limit is None:  # an entry step
+                    sample = 0.0 if load is None else point(load)[1]
+                    run = Run(1, after, sample, pos, None, pos, after)
                 else:
-                    _, sample = point(breakaway)
-                    after, event = LatchState.LOOSENING, "breakaway"
-                run = Run(1, after, sample, pos, None, pos, after)
+                    speed, current = point(load)
+                    advance = speed * pitch * dt
+                    # The loop subtracts counterclockwise; adding the negated
+                    # advance is the same IEEE operation, bit for bit.
+                    delta = advance if clockwise else -advance
+                    k, tip, reached = _fold(pos, delta, limit, left,
+                                            clockwise)
+                    if reached:
+                        tip = limit
+                    else:
+                        after, event = state, None
+                    run = Run(k, state, current, pos, delta, tip, after)
             runs.append(run)
             steps += run.n
             state, pos = run.end_state, run.end

@@ -38,7 +38,7 @@ def _as_sorted_anchors(points) -> tuple[tuple[float, float], ...]:
     if len(pts) < 2:
         raise ValueError("need at least two voltage anchors")
     voltages = [v for v, _ in pts]
-    if voltages != sorted(voltages) or len(set(voltages)) != len(voltages):
+    if voltages != sorted(set(voltages)):
         raise ValueError("anchors must be sorted by strictly increasing voltage")
     return pts
 

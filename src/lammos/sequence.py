@@ -57,7 +57,8 @@ class StepSpec:
             if name not in _ACTIONS[self.action][1]:
                 raise ValueError(f"{self.action} does not read {name!r}")
         angle = self.parameters.get("angle_deg")
-        if angle is not None and not (0 < angle < 90):
+        # Bounded in radians too: a subnormal angle in degrees is 0.0 there.
+        if angle is not None and not (0 < math.radians(angle) and angle < 90):
             raise ValueError(f"lowering angle {angle} deg out of (0, 90)")
         if "voltage_V" in self.parameters:
             voltage = self.parameters["voltage_V"]
@@ -115,6 +116,10 @@ class ExoScenario:
     def __post_init__(self):
         _check_name(self.name)
         check_dt(self.dt, MAX_DT)
+        power, end = self.joint.standby_power, self.timeline.end_time
+        if not math.isfinite(power * end):
+            raise ValueError(f"standby energy of {power} W over {end} s "
+                             "overflows")
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,23 @@ class TestBoundary:
         assert len(written) == files
         assert all(p.startswith(name + "_") for p in written)
 
+    def test_overflowing_standby_energy_is_rejected(self, tmp_path, capsys):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps({**EXO, "standby_power_W": 1e299,
+                                        "end_time_s": 1e299,
+                                        "lock_at_s": 0.0}))
+        assert _call("check", doc_path, None) == 1
+        assert _call("run", doc_path, tmp_path / "out") == 2
+        assert list(tmp_path.iterdir()) == [doc_path]
+
+    def test_number_of_1e300_is_malformed(self, tmp_path, capsys):
+        # Numbers must stay under 1e300, far from overflow.
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(_with(MECHANICAL, 1e300, "pipe",
+                                             "inner_diameter_m")))
+        assert _call("check", doc_path, None) == 2
+        assert "expected a finite number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc", [
         *sorted(p.name for p in SCENARIOS.glob("*.json")),
         *sorted(MALFORMED)])

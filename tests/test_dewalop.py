@@ -138,6 +138,13 @@ class TestWallPress:
         with pytest.raises(LegStateError):
             wall_press(default_unit(), PipeEnvironment(0.800))
 
+    def test_zero_required_extension_presses(self, monkeypatch):
+        # The wheels touch a 0.8 m pipe's wall fully retracted.
+        monkeypatch.setattr(defaults, "RETRACTED_CONTACT_RADIUS", 0.4)
+        unit = wall_press(raised_unit(), PipeEnvironment(0.800))
+        assert unit.centered
+        assert [l.extension for l in unit.legs] == [0.0] * len(unit.legs)
+
     def test_travel_limit(self, monkeypatch):
         monkeypatch.setattr(defaults, "RETRACTED_CONTACT_RADIUS", 0.300)
         with pytest.raises(LegStateError):

@@ -11,6 +11,7 @@ from lammos.exo import (
     ExoJoint,
     LoadTimeline,
     UnholdableLoadError,
+    comparison_report,
     energy_comparison,
     hold_power,
     latch_energy,
@@ -75,6 +76,11 @@ class TestHoldPower:
         stall = defaults.default_motor().stall_torque(3.0)
         with pytest.raises(UnholdableLoadError):
             hold_power(unlocked_joint(stall * 1.01))
+
+    def test_load_of_exactly_stall_is_unholdable(self):
+        stall = defaults.default_motor().stall_torque(3.0)
+        with pytest.raises(UnholdableLoadError):
+            hold_power(unlocked_joint(stall))
 
 
 class TestEnergyComparison:
@@ -170,6 +176,14 @@ class TestEnergyComparison:
         with pytest.raises(UnholdableLoadError, match="t=50"):
             energy_comparison(unlocked_joint(), timeline, lock_at=None)
 
+    def test_a_study_that_never_locks_does_not_pay_off(self):
+        joint = unlocked_joint(load=0.1)
+        timeline = LoadTimeline(points=((0.0, 0.1),), end_time=60.0)
+        result = energy_comparison(joint, timeline, lock_at=None)
+        assert result.savings == 0.0
+        report = comparison_report("never", joint, timeline, None, result)
+        assert report.endswith("\nlocking does not pay off\n")
+
     def test_latch_energy_positive(self):
         assert latch_energy(unlocked_joint(), dt=DT) > 0.0
 
@@ -198,3 +212,11 @@ class TestTimeline:
     def test_rejects_negative_load(self):
         with pytest.raises(ValueError):
             LoadTimeline(points=((0.0, -0.1),), end_time=10.0)
+
+    @pytest.mark.parametrize("points, end_time", [
+        (((0.5, 0.1),), 10.0),
+        (((0.0, 0.1), (5.0, 0.2)), 4.0),
+    ], ids=["starts_late", "ends_before_last_point"])
+    def test_each_end_of_the_span_is_checked(self, points, end_time):
+        with pytest.raises(ValueError, match="start at t=0"):
+            LoadTimeline(points=points, end_time=end_time)

@@ -310,6 +310,40 @@ def test_no_voltage_check_where_no_current_is_drawn():
         assert all(s.current == 0.0 for s in trace.samples)
 
 
+# One valid tip in each state, so that every (state, direction) pair of the
+# cycle, holds included, is driven from a start of its own.
+_CYCLE_STARTS = {
+    LatchState.HOUSED: -3e-3,
+    LatchState.ENGAGING_FLEXNUT: -1e-3,
+    LatchState.TRAVERSING: 5e-3,
+    LatchState.TIGHTENING: TSLOT + 0.5e-3,
+    LatchState.LATCHED: TSLOT + 1e-3,
+    LatchState.LOOSENING: TSLOT + 1e-3,
+    LatchState.RETRACTING: 5e-3,
+}
+
+
+@pytest.mark.parametrize("voltage", [3.0, 6.0])
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("state", list(LatchState))
+def test_every_pair_of_the_cycle_matches_reference(state, direction,
+                                                   voltage):
+    fsm = dataclasses.replace(FSM, state=state,
+                              screw_tip_position=_CYCLE_STARTS[state])
+    cmd = DriveCommand(voltage, direction)
+
+    def one_step(step_fn):
+        def run():
+            new, event = step_fn(fsm, cmd, 1e-3)
+            return new, SimpleNamespace(samples=()), (
+                [(0.0, event)] if event is not None else [])
+        return run
+    assert outcome(one_step(step)) == outcome(one_step(ref_one_step))
+    for stop in (LatchState.LATCHED, LatchState.HOUSED):
+        assert (outcome(lambda: run_until(fsm, cmd, 1e-3, stop, 5.0))
+                == outcome(lambda: ref_run_until(fsm, cmd, 1e-3, stop, 5.0)))
+
+
 # -- runs, holds and Tightening of the kernel ---------------------------------
 
 def ref_drive(fsm, segments, dt, t0=0.0, stop_state=None):

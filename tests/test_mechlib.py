@@ -14,6 +14,7 @@ from lammos.mechlib import (
     MaterialSpec,
     MotorSpec,
     PlateSpec,
+    SafetyResult,
     VoltageRangeError,
     check_bracket_load,
     check_tslot_holding,
@@ -95,6 +96,15 @@ class TestMotor:
                       stall_current_points=((3.0, 0.7), (6.0, 1.6)),
                       no_load_current=0.04)
 
+    @pytest.mark.parametrize("voltages", [(6.0, 3.0), (3.0, 3.0)],
+                             ids=["unsorted", "duplicated"])
+    def test_anchor_voltages_strictly_increase(self, voltages):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            MotorSpec(stall_torque_points=tuple(zip(voltages, (0.28, 0.34))),
+                      free_speed_points=((3.0, 0.75), (6.0, 1.6)),
+                      stall_current_points=((3.0, 0.7), (6.0, 1.6)),
+                      no_load_current=0.04)
+
 
 class TestScrew:
     def test_back_drive_self_locking(self):
@@ -129,6 +139,18 @@ class TestBrackets:
         verdict = check_bracket_load(BRACKET_80X80, 0.0, 0.1)
         assert verdict.passed
         assert verdict.margin == math.inf
+
+    @pytest.mark.parametrize("force, lever_arm", [(-1.0, 0.1), (100.0, -0.1)],
+                             ids=["force", "lever_arm"])
+    def test_negative_input_rejected(self, force, lever_arm):
+        with pytest.raises(ValueError, match="non-negative"):
+            check_bracket_load(BRACKET_80X80, force, lever_arm)
+
+    def test_force_governs_a_tie(self):
+        # 1000 N / 500 N and 50 N*m / 25 N*m: both margins are 2.0.
+        verdict = check_bracket_load(BRACKET_40X40, 500.0, 0.05)
+        assert verdict.margin == 2.0
+        assert verdict.governing_constraint == "force-limit"
 
     def test_strictness_at_limits(self):
         assert not check_bracket_load(BRACKET_80X80, 2000.0, 0.0).passed
@@ -194,6 +216,11 @@ class TestPlateBending:
                                            ).safety_factor
                for f in (1000.0, 1500.0, 2000.0)]
         assert sfs[0] > sfs[1] > sfs[2]
+
+    def test_safety_factor_of_one_holds(self):
+        assert not SafetyResult(bending_stress=1.0, safety_factor=1.0).failed
+        assert SafetyResult(bending_stress=1.0,
+                            safety_factor=math.nextafter(1.0, 0.0)).failed
 
     def test_zero_load_rejected(self):
         with pytest.raises(ValueError):

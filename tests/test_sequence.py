@@ -319,6 +319,23 @@ class TestValidate:
         })
         assert diags == [diag]
 
+    # A subnormal angle in degrees is 0.0 in radians: the legs would stay
+    # perpendicular.
+    @pytest.mark.parametrize("angle", [0, 5e-324], ids=["zero", "subnormal"])
+    def test_lowering_angle_zero_in_radians(self, angle):
+        diags = validate({
+            "name": "flat", "type": "dewalop",
+            "pipe": {"inner_diameter_m": 0.800},
+            "steps": [{"action": "lower_legs", "angle_deg": angle}],
+        })
+        assert diags == [f"step 1: lowering angle {angle} deg out of (0, 90)"]
+
+    def test_standby_energy_that_overflows(self):
+        # Each number is under the parser's 1e300; their product is not.
+        diags = validate({**read_doc("exo_hold_600s.json"),
+                          "standby_power_W": 1e299, "end_time_s": 1e299})
+        assert diags == ["standby energy of 1e+299 W over 1e+299 s overflows"]
+
     def test_voltage_that_never_unlatches(self):
         diags = validate({
             "name": "stalled", "type": "dewalop",
