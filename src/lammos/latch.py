@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat
 from operator import add, ge, le, mul
@@ -199,16 +200,14 @@ def _drive(fsm: LatchFsm, segments, dt: float, t0: float,
                 run, event = Run(left, state, 0.0, pos, None, pos, state), None
             elif state is S.TIGHTENING:
                 line = line or motor_line(motor, voltage)
-                currents, positions = array("d"), array("d")
-                k, tip, tight = _tighten(line, pos, tslot, left, dt,
-                                         currents, positions)
+                k, tip, tight, *columns = _tighten(line, pos, tslot, left, dt)
                 # LatchFsm's invariant, checked where a per-step snapshot
                 # would have checked it.
                 if tight and tip < tslot:
                     raise ValueError("Latched requires the tip at the T-slot "
                                      "nut")
                 after, event = row[2:] if tight else (state, None)
-                run = Run(k, state, currents, positions, None, tip, after)
+                run = Run(k, state, *columns, None, tip, after)
             else:
                 load, limit, after, event = row
                 if limit is None:  # an entry step
@@ -245,19 +244,17 @@ def _fold(pos: float, delta: float, limit: float, n: int,
     clockwise). Returns (steps taken, last result, whether it reached the
     limit), bit for bit the per-step fold, sign of zero included.
 
-    A binade holds the floats of one sign and exponent, an ulp u apart.
-    While a step starts on that grid and its exact result stays inside the
-    binade, rounding adds the same multiple d of u at every grid point, so
-    after j more such steps the tip is exactly r + j*d: the exit step and
-    the binade's edge are found by division and confirmed with that exact
-    expression. On an exact tie (|delta| - |d| is u/2) round-half-even
-    makes d depend on the tip's last bit, but not once the tip is even,
-    as a tie leaves it. Real additions take the steps that measure d,
-    leave a binade or cross zero, and a tie from an odd tip; a step that
-    does not move the tip stalls it to the segment's end.
+    A binade holds the floats of one sign and exponent, an ulp u apart. A
+    step whose exact result stays inside the tip's binade adds a multiple d
+    of u that depends on the tip only through its last bit, and only at an
+    exact tie, which leaves the tip even. So once two real additions in a
+    row add the same d inside one binade, each later step inside it adds d
+    too: j steps on, the tip is exactly r + j*d, which moves one way, and
+    the exit step is a search over j. Steps that leave a binade or cross
+    zero are real additions; one that does not move the tip stalls it.
     """
     reached = ge if clockwise else le
-    k = 0
+    k, last = 0, None
     while k < n:
         r = pos + delta
         k += 1
@@ -265,27 +262,23 @@ def _fold(pos: float, delta: float, limit: float, n: int,
             return k, r, True
         if r == pos:  # every later step repeats this one
             return n, r, False
-        u = math.ulp(r)
+        u, d = math.ulp(r), None
         if pos * r > 0 and math.ulp(pos) == u:
             d = r - pos  # exact within a binade
-            big, step = int(abs(r) / u), int(abs(d) / u)  # exact integers
-            if step % 2 == 0 or abs(abs(delta) - abs(d)) * 2 != u:
-                # Whole steps left inside [2**52 u, 2**53 u), one ulp
-                # clear of the edge the tip moves toward.
-                room = (2 ** 53 - 1 - big if (r > 0) == clockwise
-                        else big - 2 ** 52 - 1) // step
-                room = min(room, n - k)
+            if d == last:
+                big, step = int(abs(r) / u), int(abs(d) / u)  # exact integers
+                # Whole steps left inside [2**52 u, 2**53 u), one ulp clear
+                # of the edge the tip moves toward.
+                room = min((2 ** 53 - 1 - big if (r > 0) == clockwise
+                            else big - 2 ** 52 - 1) // step, n - k)
                 if room > 0:
                     if reached(r + room * d, limit):
-                        j = min(room, max(1, math.ceil((limit - r) / d)))
-                        while j > 1 and reached(r + (j - 1) * d, limit):
-                            j -= 1
-                        while not reached(r + j * d, limit):
-                            j += 1
+                        j = bisect_left(range(room + 1), True, 1, key=(
+                            lambda j: reached(r + j * d, limit)))
                         return k + j, r + j * d, True
                     k += room
                     r = r + room * d
-        pos = r
+        pos, last = r, d
     return n, pos, False
 
 
@@ -444,18 +437,18 @@ def run_until(fsm: LatchFsm, cmd: DriveCommand, dt: float,
                   stop_state)
 
 
-def _tighten(line, pos: float, tslot: float, n: int, dt: float,
-             currents, positions):
+def _tighten(line, pos: float, tslot: float, n: int, dt: float):
     """Up to ``n`` clockwise Tightening steps on motor ``line`` from tip
-    position ``pos``, appending each step's current and position; the step
-    whose current reaches the threshold latches instead of moving. Returns
-    (steps taken, final position, whether the last step latched)."""
+    position ``pos``; the step whose current reaches the threshold latches
+    instead of moving. Returns (steps taken, final position, whether it
+    latched, then the steps' currents and positions as ``array('d')``)."""
     stall, free, i_stall = line
     i_0 = defaults.MOTOR.no_load_current
     friction = defaults.FLEXNUT_FRICTION_TORQUE
     clamp_span, slope = defaults.CLAMP_TORQUE - friction, i_stall - i_0
     travel, pitch = defaults.TIGHTENING_TRAVEL, defaults.SCREW_THREAD_PITCH
     latch_current = defaults.TIGHTENING_CURRENT_THRESHOLD * i_stall
+    currents, positions = array("d"), array("d")
     add_current, add_position = currents.append, positions.append
     for k in range(1, n + 1):
         # The motor line (mechlib.line_point) at a load ramping from
@@ -469,11 +462,11 @@ def _tighten(line, pos: float, tslot: float, n: int, dt: float,
         add_current(current)
         if current >= latch_current:
             add_position(pos)
-            return k, pos, True
+            return k, pos, True, currents, positions
         speed = free * (1.0 - frac)
         pos = pos + (speed if speed > 0.0 else 0.0) * pitch * dt
         add_position(pos)
-    return n, pos, False
+    return n, pos, False, currents, positions
 
 
 def _loosening_load() -> float:
@@ -487,7 +480,7 @@ def can_latch(voltage: float) -> bool:
     Raises VoltageRangeError outside the motor's characterized range."""
     # A tip past the whole travel sits at full ramp.
     return _tighten(motor_line(defaults.MOTOR, voltage), math.inf, 0.0, 1,
-                    0.0, [], [])[2]
+                    0.0)[2]
 
 
 def can_unlatch(voltage: float) -> bool:

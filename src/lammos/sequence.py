@@ -224,8 +224,7 @@ def _drive_latches(which: str, line: str, run: _Run, step: StepSpec) -> str:
     run.traces.append((step.action, trace))
     for t_event, ev in events:
         run.emit(step.action, ev.name, t_event)
-    # Floored: a drive already at its target takes no step and ends at t0.
-    run.t += max(0.0, trace.duration - run.t)
+    run.t = trace.duration
     return line
 
 

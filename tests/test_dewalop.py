@@ -10,6 +10,7 @@ from lammos import defaults
 from lammos.dewalop import (
     InsertionError,
     LegStateError,
+    LoadPath,
     MaintenanceUnit,
     PipeEnvironment,
     WheeledLeg,
@@ -71,6 +72,11 @@ class TestInsertion:
         monkeypatch.setattr(defaults, "RAISED_CLEARANCE_AT_800", -0.050)
         with pytest.raises(InsertionError):
             insertion_force_required(PipeEnvironment(0.800), False)
+
+    def test_force_zero_at_zero_clearance(self, monkeypatch):
+        monkeypatch.setattr(defaults, "RAISED_CLEARANCE_AT_800", 0.0)
+        assert insertion_clearance(PipeEnvironment(0.800), False) == 0.0
+        assert insertion_force_required(PipeEnvironment(0.800), False) == 0.0
 
     @given(d1=st.floats(min_value=0.800, max_value=1.000),
            d2=st.floats(min_value=0.800, max_value=1.000))
@@ -145,6 +151,14 @@ class TestWallPress:
         assert unit.centered
         assert [l.extension for l in unit.legs] == [0.0] * len(unit.legs)
 
+    def test_required_extension_of_exactly_the_travel_presses(self,
+                                                              monkeypatch):
+        required = (PipeEnvironment(0.800).inner_radius
+                    - defaults.RETRACTED_CONTACT_RADIUS)
+        monkeypatch.setattr(defaults, "EXTEND_TRAVEL", required)
+        unit = wall_press(raised_unit(), PipeEnvironment(0.800))
+        assert [l.extension for l in unit.legs] == [required] * len(unit.legs)
+
     def test_travel_limit(self, monkeypatch):
         monkeypatch.setattr(defaults, "RETRACTED_CONTACT_RADIUS", 0.300)
         with pytest.raises(LegStateError):
@@ -185,6 +199,11 @@ class TestLoadPath:
         assert path.actuator_share == 0.0 and path.structure_share == 0.0
         assert path.ok
 
+    def test_zero_force_on_a_latched_leg(self):
+        # Nothing to route: the plate check, undefined at zero, is skipped.
+        path = leg_load_path(latched_flat_leg(raised_unit().legs[0]), 0.0)
+        assert path == LoadPath(actuator_share=0.0, structure_share=0.0)
+
     def test_tslot_overload_reported_not_thrown(self):
         leg = latched_flat_leg(raised_unit().legs[0])
         path = leg_load_path(leg, 5200.0)
@@ -209,6 +228,13 @@ class TestUnitStructure:
         bad_legs = unit.legs[:5] + (dataclasses.replace(unit.legs[5],
                                                         azimuth_deg=90.0),)
         with pytest.raises(ValueError):
+            MaintenanceUnit(legs=bad_legs)
+
+    def test_azimuth_error_names_its_ring(self):
+        unit = default_unit()
+        bad_legs = unit.legs[:5] + (dataclasses.replace(unit.legs[5],
+                                                        azimuth_deg=200.0),)
+        with pytest.raises(ValueError, match="^bottom ring azimuths"):
             MaintenanceUnit(legs=bad_legs)
 
     def test_csv_dump_shape(self):

@@ -563,3 +563,22 @@ class TestFold:
             k, end, reached = fold(*case)
             return k, reached, end.hex()
         assert seen(closed_fold) == seen(plain_fold)
+
+    def test_a_long_drive_takes_few_real_additions(self, monkeypatch):
+        # Each real addition in ``_fold`` asks ``math.ulp`` for its result's
+        # ulp. A 6 V unlatch at the finest dt is over 1.3e6 constant-load
+        # steps; folded one addition at a time it makes 2.65e6 such calls.
+        latched = run_until(latch.LatchFsm(),
+                            DriveCommand(3.0, Direction.CLOCKWISE),
+                            latch.MIN_DT, LatchState.LATCHED)[0]
+        ulps = []
+        counting = SimpleNamespace(**vars(math))
+        counting.ulp = lambda x: ulps.append(x) or math.ulp(x)
+        monkeypatch.setattr(latch, "math", counting)
+        final, trace, _ = run_until(latched,
+                                    DriveCommand(6.0,
+                                                 Direction.COUNTERCLOCKWISE),
+                                    latch.MIN_DT, LatchState.HOUSED)
+        assert final.state is LatchState.HOUSED
+        assert trace.steps > 1_300_000
+        assert len(ulps) <= 1000

@@ -30,6 +30,14 @@ STALL_3V = gram_cm_to_newton_m(2884.0)
 STALL_6V = gram_cm_to_newton_m(3444.0)
 
 
+def motor_spec(**changes):
+    """A valid two-anchor motor with ``changes`` to its fields."""
+    return MotorSpec(**{"stall_torque_points": ((3.0, 0.28), (6.0, 0.34)),
+                        "free_speed_points": ((3.0, 0.75), (6.0, 1.6)),
+                        "stall_current_points": ((3.0, 0.7), (6.0, 1.6)),
+                        "no_load_current": 0.04, **changes})
+
+
 class TestMotor:
     def test_catalog_stall_torques_reproduced(self, motor):
         assert motor.stall_torque(3.0) == pytest.approx(STALL_3V, rel=1e-12)
@@ -105,6 +113,9 @@ class TestMotor:
                       stall_current_points=((3.0, 0.7), (6.0, 1.6)),
                       no_load_current=0.04)
 
+    def test_zero_no_load_current_accepted(self):
+        assert motor_spec(no_load_current=0.0).no_load_current == 0.0
+
 
 class TestScrew:
     def test_back_drive_self_locking(self):
@@ -113,6 +124,9 @@ class TestScrew:
 
     def test_back_drive_free_thread(self):
         assert screw_back_drive_torque(10.0, 0.008, 0.00125, 0.0) > 0.0
+
+    def test_zero_axial_force_drives_nothing(self):
+        assert screw_back_drive_torque(0.0, 0.008, 0.00125, 0.0) == 0.0
 
 
 def bracket_oracle(bracket, force, lever):
@@ -248,3 +262,33 @@ class TestPlateBending:
         # h ** 2 overflows at 1e300; at 1e154 it is finite, but h^2 * w is not.
         with pytest.raises(ValueError, match="section modulus"):
             PlateSpec(*dimensions)
+
+
+# Each value a validator requires strictly positive, at exactly zero.
+ZERO_REJECTED = {
+    "stall_torque_anchor": lambda: motor_spec(
+        stall_torque_points=((3.0, 0.0), (6.0, 0.34))),
+    "free_speed_anchor": lambda: motor_spec(
+        free_speed_points=((3.0, 0.0), (6.0, 1.6))),
+    "bracket_moment": lambda: BracketSpec("bad", max_force=1.0,
+                                          max_moment=0.0),
+    "yield_strength": lambda: MaterialSpec(yield_strength=0.0),
+    "lever_arm": lambda: plate_bending_safety_factor(
+        PlateSpec(), MaterialSpec(), 1000.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("build", ZERO_REJECTED.values(), ids=ZERO_REJECTED)
+def test_zero_rejected(build):
+    with pytest.raises(ValueError, match="positive"):
+        build()
+
+
+# The section modulus ignores the length, so only the dimension rule
+# rejects a zero or infinite length.
+@pytest.mark.parametrize("value", [0.0, math.inf])
+@pytest.mark.parametrize("dimension", ["length", "height", "thickness"])
+def test_zero_or_infinite_plate_dimension_rejected(dimension, value):
+    with pytest.raises(ValueError, match="plate dimensions must be finite "
+                                         "and positive"):
+        PlateSpec(**{dimension: value})

@@ -330,6 +330,14 @@ class TestValidate:
         })
         assert diags == [f"step 1: lowering angle {angle} deg out of (0, 90)"]
 
+    def test_lowering_angle_of_ninety(self):
+        diags = validate({
+            "name": "flat", "type": "dewalop",
+            "pipe": {"inner_diameter_m": 0.800},
+            "steps": [{"action": "lower_legs", "angle_deg": 90}],
+        })
+        assert diags == ["step 1: lowering angle 90 deg out of (0, 90)"]
+
     def test_standby_energy_that_overflows(self):
         # Each number is under the parser's 1e300; their product is not.
         diags = validate({**read_doc("exo_hold_600s.json"),
@@ -415,6 +423,16 @@ class TestScenarioTypes:
         _, log, verdict, _ = run_scenario(acknowledged)
         assert verdict.passed
         assert any("manual push 400 N" in e.event for e in log.entries)
+
+    def test_zero_clearance_needs_no_push(self, monkeypatch):
+        monkeypatch.setattr(defaults, "RAISED_CLEARANCE_AT_800", 0.0)
+        _, log, verdict, _ = run_scenario(build_scenario({
+            "name": "flush-insertion", "type": "dewalop",
+            "pipe": {"inner_diameter_m": 0.800}, "dt_s": FAST_DT,
+            "steps": [{"action": "raise_legs"}, {"action": "move_into_pipe"}],
+        }))
+        assert verdict.passed
+        assert not any("manual push" in e.event for e in log.entries)
 
 
 class TestReadme:
